@@ -70,6 +70,16 @@ def _check_state(state: StateOfNature) -> StateOfNature:
     return state
 
 
+def _cdf_A_on_support(a, t):
+    """State-A CDF for t in [-1, +1], unchecked; ``a`` may be an array."""
+    return (t + 1.0) * (a * t - a + 2.0) / 4.0
+
+
+def _cdf_B_on_support(a, t):
+    """State-B CDF for t in [-1, +1], unchecked; ``a`` may be an array."""
+    return (t + 1.0) * (a - a * t + 2.0) / 4.0
+
+
 def cdf_given_A(ability: float, t):
     """CDF of the signal under state A, evaluated at ``t``.
 
@@ -77,16 +87,14 @@ def cdf_given_A(ability: float, t):
     support it continues as the constant 0 or 1.
     """
     a = _check_ability(ability)
-    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
-    out = (t + 1.0) * (a * t - a + 2.0) / 4.0
+    out = _cdf_A_on_support(a, np.clip(np.asarray(t, dtype=float), -1.0, 1.0))
     return out if out.ndim else float(out)
 
 
 def cdf_given_B(ability: float, t):
     """CDF of the signal under state B: the mirror image of state A."""
     a = _check_ability(ability)
-    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
-    out = (t + 1.0) * (a - a * t + 2.0) / 4.0
+    out = _cdf_B_on_support(a, np.clip(np.asarray(t, dtype=float), -1.0, 1.0))
     return out if out.ndim else float(out)
 
 

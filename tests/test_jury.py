@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 from unittest import mock
@@ -203,6 +204,20 @@ class TestExactVerdict:
         with pytest.raises(SizeLimit):
             exact_verdict_probability(make_config((0.5,) * 27))
 
+    # (P(majority A | A), P(majority A | B), p_correct) as computed by the
+    # depth-first recursion the level walk replaced
+    @pytest.mark.parametrize("abilities, theta, pinned", [
+        (tuple(0.48 + k / 450 for k in range(19)), 0.45,
+         (0.6582167699370428, 0.18524535487778607, 0.744312601288887)),
+        ((0.5,) * 21, 0.5,
+         (0.746881003230316, 0.2531189967697039, 0.7468810032303062)),
+    ], ids=["near-flat-19", "half-21"])
+    def test_matches_depth_first_values(self, abilities, theta, pinned):
+        config = make_config(abilities, theta=theta)
+        got = (*_exact_majority_a(config),
+               exact_verdict_probability(config).p_correct)
+        np.testing.assert_allclose(got, pinned, rtol=0.0, atol=1e-12)
+
 
 class TestMonteCarlo:
     def test_same_seed_is_reproducible(self):
@@ -277,6 +292,20 @@ class TestOrderScan:
         assert probs == sorted(probs, reverse=True)
         assert [row.rank for row in rows] == sorted(row.rank for row in rows)
 
+    @pytest.mark.parametrize("tie_break", list(TieBreak))
+    @pytest.mark.parametrize("abilities", [
+        (0.9, 0.5, 0.1), (0.0, 0.7, 0.3),
+        (0.8, 0.6, 0.45, 0.2, 0.95), (0.6, 0.0, 0.4, 1.0, 0.2),
+    ])
+    def test_rows_equal_single_walks(self, abilities, tie_break):
+        prior = Prior(0.45)
+        rows = order_scan(abilities, prior, tie_break)
+        assert len(rows) == math.factorial(len(abilities))
+        for row in rows:
+            single = exact_verdict_probability(JuryConfig(
+                abilities=row.ordering, prior=prior, tie_break=tie_break))
+            assert row.p_correct == single.p_correct
+
     def test_guards(self):
         with pytest.raises(SizeLimit):
             order_scan((0.5,) * 9, HALF)
@@ -350,3 +379,43 @@ def test_single_juror_formula_property(a):
 def test_exact_probability_is_always_a_probability(abilities, theta):
     stats = exact_verdict_probability(make_config(abilities, theta=theta))
     assert 0.0 <= stats.p_correct <= 1.0
+
+
+def brute_force_majority_a(config):
+    """P(majority A | A), P(majority A | B) summed over all 2**n complete
+    vote histories, each rebuilt vote by vote."""
+    n = len(config.abilities)
+    mass_a = mass_b = 0.0
+    for votes in itertools.product((StateOfNature.A, StateOfNature.B), repeat=n):
+        if 2 * votes.count(StateOfNature.A) < n:
+            continue
+        try:
+            history = VoteHistory.from_votes(config, votes)
+        except DomainError as exc:
+            # an earlier vote was impossible under both states
+            assert "probability zero" in str(exc)
+            continue
+        mass_a += math.exp(history.loglik_A)
+        mass_b += math.exp(history.loglik_B)
+    return mass_a, mass_b
+
+
+@st.composite
+def log_uniform_priors(draw):
+    """theta, or 1 - theta, log-uniform in [1e-6, 1/2]."""
+    tail = 10.0 ** draw(st.floats(-6.0, math.log10(0.5)))
+    return 1.0 - tail if draw(st.booleans()) else tail
+
+
+@settings(max_examples=40, deadline=None)
+@given(abilities=st.sampled_from([1, 3, 5, 7, 9]).flatmap(
+           lambda n: st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
+                                        st.floats(0.0, 1.0)),
+                              min_size=n, max_size=n)),
+       theta=log_uniform_priors(),
+       tie_break=st.sampled_from(list(TieBreak)))
+def test_exact_walk_matches_brute_force_histories(abilities, theta, tie_break):
+    config = make_config(abilities, theta=theta, tie_break=tie_break)
+    np.testing.assert_allclose(_exact_majority_a(config),
+                               brute_force_majority_a(config),
+                               rtol=0.0, atol=1e-12)
