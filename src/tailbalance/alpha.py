@@ -295,7 +295,11 @@ def evaluate_on(fn: Callable, grid: np.ndarray) -> np.ndarray:
 def cdf_axioms_hold(evaluator: Callable, grid_size: int = 1001, tol: float = EQUALITY_TOL) -> bool:
     """Check monotonicity and endpoint pinning of an evaluator on a grid."""
     t = np.linspace(-1.0, 1.0, int(grid_size))
-    h = evaluate_on(evaluator, t)
+    return cdf_values_ok(evaluate_on(evaluator, t), tol)
+
+
+def cdf_values_ok(h: np.ndarray, tol: float = EQUALITY_TOL) -> bool:
+    """``cdf_axioms_hold`` for values already evaluated on a grid over [-1, +1]."""
     if not np.all(np.isfinite(h)):
         return False
     if abs(h[0]) > tol or abs(h[-1] - 1.0) > tol:

@@ -274,6 +274,10 @@ def solve(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
     if grid < 2:
         raise click.UsageError(f"--grid must be at least 2, got {grid}")
     h = _resolve_h(h_source, alpha, prior, linear_a, allow_uniform_limit)
+    if not h.is_valid_cdf:
+        click.echo(f"refused: the solved H is not a valid CDF (H(-1) = {_fmt17(h(-1.0))}, "
+                   f"H(+1) = {_fmt17(h(1.0))})", err=True)
+        sys.exit(2)
     spec = CommandSpec("solve", output_format, {
         "alpha": alpha.to_json(),
         "theta": prior.theta,

@@ -32,9 +32,7 @@ from .signals import (
     StateOfNature,
     _cdf_A_on_support,
     _cdf_B_on_support,
-    cdf_given_A,
-    cdf_given_B,
-    quantile_given_state,
+    _quantile_A_on_support,
 )
 
 #: Largest jury the exact enumeration will attempt.
@@ -191,27 +189,29 @@ def _cutoff(a, q) -> np.ndarray:
     return np.minimum(np.maximum(s, -1.0), 1.0)
 
 
-def _juror_step(a, q, tie_break: TieBreak) -> tuple[np.ndarray, np.ndarray]:
-    """P(vote A | state A) and P(vote A | state B), elementwise.
+def _juror_step(a, q, tie_break: TieBreak) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cutoff, P(vote A | state A) and P(vote A | state B), elementwise.
 
     ``q`` is the juror's pre-signal posterior that the state is A.  For
     a > 0 the juror votes A exactly when the signal reaches the cutoff
     s* = clip((1 - 2q)/a, -1, 1); at zero ability the signal is useless
     and the vote follows the posterior alone, with ``tie_break`` deciding
-    the q = 1/2 knife edge.  This is the only statement of the decision
-    rule that the exact walk, ``VoteHistory`` and ``ThresholdTable`` use.
+    the q = 1/2 knife edge (P(vote A) is then 0, 1/2 or 1 in both
+    states).  This is the one statement of the decision rule: the exact
+    walk, Monte Carlo, ``VoteHistory`` and ``ThresholdTable`` all call
+    it.  The zero-ability override runs only when some ability is 0, so
+    the common all-informed call costs the cutoff and two CDFs.
     """
+    a = np.asarray(a, dtype=float)
     s = _cutoff(a, q)
-    blind = np.where(q == 0.5, _TIE_VOTE_A[tie_break], q > 0.5)
-    informed = a > 0.0
-    return (np.where(informed, 1.0 - _cdf_A_on_support(a, s), blind),
-            np.where(informed, 1.0 - _cdf_B_on_support(a, s), blind))
-
-
-def _vote_a_probs(a: float, q: float, tie_break: TieBreak) -> tuple[float, float]:
-    """``_juror_step`` for one juror and one posterior, as floats."""
-    p_a, p_b = _juror_step(a, q, tie_break)
-    return float(p_a), float(p_b)
+    p_a = 1.0 - _cdf_A_on_support(a, s)
+    p_b = 1.0 - _cdf_B_on_support(a, s)
+    blind = a == 0.0
+    if blind.any():
+        vote = np.where(q == 0.5, _TIE_VOTE_A[tie_break], q > 0.5)
+        p_a = np.where(blind, vote, p_a)
+        p_b = np.where(blind, vote, p_b)
+    return s, p_a, p_b
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,8 @@ class VoteHistory:
         if i >= len(config.abilities):
             raise DomainError("every juror has already voted")
         q = _posterior_given_history(config.prior.theta, self.loglik_A, self.loglik_B)
-        p_a, p_b = _vote_a_probs(config.abilities[i], q, config.tie_break)
+        _, p_a, p_b = _juror_step(config.abilities[i], q, config.tie_break)
+        p_a, p_b = float(p_a), float(p_b)
         if vote is StateOfNature.A:
             step_a, step_b = p_a, p_b
         else:
@@ -283,8 +284,9 @@ class ThresholdTable:
                 return
             a = config.abilities[i]
             q = _posterior_given_history(theta, ll_a, ll_b)
-            entries[votes] = float(_cutoff(a, q)) if a > 0.0 else None
-            p_a, p_b = _vote_a_probs(a, q, config.tie_break)
+            cut, p_a, p_b = _juror_step(a, q, config.tie_break)
+            entries[votes] = float(cut) if a > 0.0 else None
+            p_a, p_b = float(p_a), float(p_b)
             if p_a > 0.0 or p_b > 0.0:
                 walk(votes + (StateOfNature.A,), ll_a + _log(p_a), ll_b + _log(p_b))
             if p_a < 1.0 or p_b < 1.0:
@@ -348,7 +350,7 @@ def _level_walk(abilities: np.ndarray, theta: float,
     ll_b = np.zeros(orders)
     for i in range(n):
         q = _posterior_given_history(theta, ll_a, ll_b)
-        p_a, p_b = _juror_step(abilities[order, i], q, tie_break)
+        _, p_a, p_b = _juror_step(abilities[order, i], q, tie_break)
         grow_a = (p_a > 0.0) | (p_b > 0.0)
         grow_b = (p_a < 1.0) | (p_b < 1.0)
         won = grow_a & (count == need - 1)
@@ -418,34 +420,17 @@ def _simulate_chunk(config: JuryConfig, size: int, seed_seq, fixed_state=None) -
     ll_a = np.zeros(size)
     ll_b = np.zeros(size)
     votes_a = np.zeros(size, dtype=np.int64)
-    follow_sign = config.tie_break is TieBreak.FOLLOW_SIGNAL_SIGN
     for a in config.abilities:
         u = rng.random(size)
         u_eff = np.where(is_a, u, 1.0 - u)
-        s_as_if_a = np.asarray(
-            quantile_given_state(a, u_eff, StateOfNature.A), dtype=float
-        )
+        s_as_if_a = _quantile_A_on_support(a, u_eff)  # u_eff lies in [0, 1]
         s = np.where(is_a, s_as_if_a, -s_as_if_a)
-        m = np.maximum(ll_a, ll_b)
-        w_a = theta * np.exp(ll_a - m)
-        w_b = (1.0 - theta) * np.exp(ll_b - m)
-        q = w_a / (w_a + w_b)
+        q = _posterior_given_history(theta, ll_a, ll_b)
+        cut, p_a, p_b = _juror_step(a, q, config.tie_break)
         if a > 0.0:
-            cut = np.clip((1.0 - 2.0 * q) / a, -1.0, 1.0)
             vote_a = s >= cut
-            p_a = 1.0 - np.asarray(cdf_given_A(a, cut), dtype=float)
-            p_b = 1.0 - np.asarray(cdf_given_B(a, cut), dtype=float)
-        else:
-            if follow_sign:
-                at_tie = s >= 0.0
-                tie_prob = 0.5
-            else:
-                forced = config.tie_break is TieBreak.VOTE_A
-                at_tie = np.full(size, forced)
-                tie_prob = 1.0 if forced else 0.0
-            vote_a = np.where(q > 0.5, True, np.where(q < 0.5, False, at_tie))
-            p_a = np.where(q > 0.5, 1.0, np.where(q < 0.5, 0.0, tie_prob))
-            p_b = p_a
+        else:  # P(vote A) is 0 or 1, or 1/2 where the tie follows the signal
+            vote_a = np.where(p_a == 0.5, s >= 0.0, p_a == 1.0)
         with np.errstate(divide="ignore"):
             ll_a = ll_a + np.log(np.where(vote_a, p_a, 1.0 - p_a))
             ll_b = ll_b + np.log(np.where(vote_a, p_b, 1.0 - p_b))

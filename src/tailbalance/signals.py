@@ -80,6 +80,15 @@ def _cdf_B_on_support(a, t):
     return (t + 1.0) * (a - a * t + 2.0) / 4.0
 
 
+def _quantile_A_on_support(a, u):
+    """State-A inverse CDF for u in [0, 1], unchecked."""
+    t = (a + 4.0 * u - 2.0) / (1.0 + np.sqrt((1.0 - a) ** 2 + 4.0 * a * u))
+    # the u = 0 endpoint lands on -1 exactly (numerator and denominator
+    # are exact negations), but u = 1 picks up rounding inside the
+    # discriminant; pin it so both support endpoints are hit exactly
+    return np.clip(np.where(u == 1.0, 1.0, t), -1.0, 1.0)
+
+
 def cdf_given_A(ability: float, t):
     """CDF of the signal under state A, evaluated at ``t``.
 
@@ -133,15 +142,9 @@ def quantile_given_state(ability: float, u, state: StateOfNature):
     if np.any(u < 0.0) or np.any(u > 1.0) or np.any(np.isnan(u)):
         raise DomainError("quantile probability u must lie in [0, 1]")
     if state is StateOfNature.B:
-        u = 1.0 - u
-    t = (a + 4.0 * u - 2.0) / (1.0 + np.sqrt((1.0 - a) ** 2 + 4.0 * a * u))
-    # the u = 0 endpoint lands on -1 exactly (numerator and denominator
-    # are exact negations), but u = 1 picks up rounding inside the
-    # discriminant; pin it so both support endpoints are hit exactly
-    t = np.where(u == 1.0, 1.0, t)
-    if state is StateOfNature.B:
-        t = -t
-    out = np.clip(t, -1.0, 1.0)
+        out = -_quantile_A_on_support(a, 1.0 - u)
+    else:
+        out = _quantile_A_on_support(a, u)
     return out if out.ndim else float(out)
 
 

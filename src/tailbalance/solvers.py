@@ -20,7 +20,7 @@ casing at the right endpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .alpha import (
     LinearAbility,
     Provenance,
     SolvedCdf,
-    cdf_axioms_hold,
+    cdf_values_ok,
     evaluate_on,
 )
 from .errors import (
@@ -69,13 +69,14 @@ def _uniform_solution(provenance: Provenance, alpha: AlphaSpec, prior: Prior,
 
 def _finish(evaluator, provenance: Provenance, alpha: AlphaSpec, prior: Prior,
             grid_size: int) -> SolvedCdf:
-    """Attach measured residual and recomputed validity to an evaluator."""
+    """Attach measured residual and recomputed validity (judged on the
+    residual check's own H values) to an evaluator."""
     report = residual_check(evaluator, alpha, prior, grid_size)
     return SolvedCdf(
         evaluator=evaluator,
         provenance=provenance,
         max_residual=report.max_residual,
-        is_valid_cdf=cdf_axioms_hold(evaluator, grid_size),
+        is_valid_cdf=cdf_values_ok(report.h),
     )
 
 
@@ -96,41 +97,17 @@ def solve_balanced(alpha: AlphaSpec, *, allow_uniform_limit: bool = False,
 
         H(t) = (2*alpha(t) - 1) * (1 - alpha(-t)) / (alpha(t) + alpha(-t) - 1)
 
-    provided the denominator stays away from zero on the grid.  The
-    constant alpha = 1/2 (zero ability) collapses the equation to 0/0
-    everywhere; by default that raises DegenerateAlpha, and passing
+    the odds equation at theta = 1/2, so this is ``solve_odds`` with that
+    prior under its own provenance tag; the values equal the expression
+    above bit for bit wherever alpha(-1) is exactly 1/2.  The constant
+    alpha = 1/2 (zero ability) collapses the equation to 0/0 everywhere;
+    by default that raises DegenerateAlpha, and passing
     ``allow_uniform_limit=True`` instead returns its declared limit, the
     uniform CDF (t + 1)/2.
     """
-    n = _check_grid_size(grid_size)
-    boundary = float(np.asarray(alpha(-1.0), dtype=float))
-    if abs(boundary - 0.5) > BOUNDARY_TOL:
-        raise InvalidBoundary(
-            f"balanced equation requires alpha(-1) = 1/2, got {boundary!r}"
-        )
-    grid = np.linspace(-1.0, 1.0, n)
-    a_pos = evaluate_on(alpha, grid)
-    a_neg = evaluate_on(alpha, -grid)
-    den = a_pos + (a_neg - 1.0)
-    if np.any(np.abs(den) < EQUALITY_TOL):
-        if allow_uniform_limit and np.max(np.abs(a_pos - 0.5)) <= EQUALITY_TOL:
-            return _uniform_solution(Provenance.BALANCED_FORMULA, alpha,
-                                     _BALANCED_PRIOR, n)
-        where = float(grid[int(np.argmin(np.abs(den)))])
-        raise DegenerateAlpha(
-            f"alpha(t) + alpha(-t) - 1 vanishes near t={where!r}; "
-            "the balanced equation has no unique solution there"
-        )
-
-    def core(t):
-        at = evaluate_on(alpha, t)
-        an = evaluate_on(alpha, -t)
-        # alpha(-t) - 1 first: the subtraction is exact at the endpoints
-        # (Sterbenz), which pins H(+1) to exactly 1 in the balanced case.
-        return (2.0 * at - 1.0) * (1.0 - an) / (at + (an - 1.0))
-
-    return _finish(_vec(core), Provenance.BALANCED_FORMULA, alpha,
-                   _BALANCED_PRIOR, n)
+    solved = solve_odds(alpha, _BALANCED_PRIOR, allow_uniform_limit=allow_uniform_limit,
+                        grid_size=grid_size)
+    return replace(solved, provenance=Provenance.BALANCED_FORMULA)
 
 
 def closed_form_linear(a: float, *, grid_size: int = DEFAULT_GRID) -> SolvedCdf:
@@ -188,7 +165,7 @@ def solve_affine_pair(coeffs: CoefficientPair, *,
         evaluator=evaluator,
         provenance=Provenance.AFFINE_PAIR,
         max_residual=float(np.max(residual)),
-        is_valid_cdf=cdf_axioms_hold(evaluator, n),
+        is_valid_cdf=cdf_values_ok(h_pos),
     )
 
 
@@ -197,32 +174,49 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
                grid_size: int = DEFAULT_GRID) -> SolvedCdf:
     """Solve the general-odds tail-balance equation.
 
-    With lambda the prior odds of state B,
+    With lambda = (1 - theta)/theta the prior odds of state B,
 
         H(t) = ((lambda + 1) * alpha(t) - 1) * (1 - alpha(-t))
                / (alpha(t) + alpha(-t) + (lambda**2 - 1) * alpha(t) * alpha(-t) - 1)
 
-    At lambda = 1 every lambda-dependent term collapses and this is the
-    balanced formula verbatim.  A constant alpha = theta makes the
-    denominator vanish identically (the zero-ability degeneracy);
-    ``allow_uniform_limit=True`` opts into the uniform-CDF limit.
+    The formula is evaluated multiplied through by theta**2:
+
+        num = theta * (alpha(t) - alpha(-1)) * (1 - alpha(-t))
+        den = theta**2 * (alpha(t) + alpha(-t) - 1) + (1 - 2*theta) * alpha(t) * alpha(-t)
+            = (1 - theta)**2 * alpha(t) * alpha(-t) - theta**2 * (1 - alpha(t)) * (1 - alpha(-t))
+
+    lambda**2 overflows below theta ~ 1e-154; the scaled terms do not.
+    Above theta = 1/2 the two terms of the first form of den cancel to a
+    few digits, so den takes the second form there; the first, at theta =
+    1/2, is the balanced formula times powers of two, bit for bit.  The
+    measured alpha(-1) in num makes H(-1) exactly 0 even where alpha(-1)
+    misses theta by a rounding, which keeps the residual at t = +1
+    exact.  The guard |den| < EQUALITY_TOL * theta**2 is the unscaled
+    test.  A constant alpha = theta makes den vanish identically (the
+    zero-ability degeneracy); ``allow_uniform_limit=True`` opts into the
+    uniform-CDF limit.
     """
     if not isinstance(prior, Prior):
         raise DomainError(f"prior must be a Prior, got {prior!r}")
     n = _check_grid_size(grid_size)
-    lam = prior.odds_lambda
+    theta = prior.theta
     boundary = float(np.asarray(alpha(-1.0), dtype=float))
-    if abs(boundary - prior.theta) > BOUNDARY_TOL:
+    if abs(boundary - theta) > BOUNDARY_TOL:
         raise InvalidBoundary(
             f"alpha(-1) = {boundary!r} disagrees with the prior theta = "
-            f"{prior.theta!r}"
+            f"{theta!r}"
         )
+
+    def scaled_den(at, an):
+        if theta <= 0.5:
+            return theta * theta * (at + (an - 1.0)) + (1.0 - 2.0 * theta) * at * an
+        return (1.0 - theta) ** 2 * at * an - theta * theta * (1.0 - at) * (1.0 - an)
+
     grid = np.linspace(-1.0, 1.0, n)
     a_pos = evaluate_on(alpha, grid)
-    a_neg = evaluate_on(alpha, -grid)
-    den = a_pos + (a_neg - 1.0) + (lam * lam - 1.0) * a_pos * a_neg
-    if np.any(np.abs(den) < EQUALITY_TOL):
-        if allow_uniform_limit and np.max(np.abs(a_pos - prior.theta)) <= EQUALITY_TOL:
+    den = scaled_den(a_pos, evaluate_on(alpha, -grid))
+    if np.any(np.abs(den) < EQUALITY_TOL * (theta * theta)):
+        if allow_uniform_limit and np.max(np.abs(a_pos - theta)) <= EQUALITY_TOL:
             return _uniform_solution(Provenance.ODDS_FORMULA, alpha, prior, n)
         where = float(grid[int(np.argmin(np.abs(den)))])
         raise DegenerateAlpha(
@@ -233,10 +227,9 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
     def core(t):
         at = evaluate_on(alpha, t)
         an = evaluate_on(alpha, -t)
-        # grouped as in solve_balanced: at lambda = 1 the last term is
-        # exactly zero and the two formulas compute bit-identically.
-        d = at + (an - 1.0) + (lam * lam - 1.0) * at * an
-        return ((lam + 1.0) * at - 1.0) * (1.0 - an) / d
+        # alpha(-t) - 1 first: the subtraction is exact at the endpoints
+        # (Sterbenz), which pins H(+1) to exactly 1 in the balanced case.
+        return theta * (at - boundary) * (1.0 - an) / scaled_den(at, an)
 
     return _finish(_vec(core), Provenance.ODDS_FORMULA, alpha, prior, n)
 

@@ -69,6 +69,15 @@ class TestSolveCommand:
         assert result.returncode == 2
         assert result.stderr.strip()
 
+    def test_invalid_cdf_is_refused(self):
+        # at a near-zero ability the denominator cancels to ~1e-10 and H(+1)
+        # overshoots 1 by ~1e-8
+        result = run_cli("solve", "--theta", "0.8", "--a", "1e-8")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert "not a valid CDF" in result.stderr
+
     def test_uniform_limit_opt_in(self):
         result = run_cli("solve", "--a", "0", "--allow-uniform-limit",
                          "--grid", "5", check=0)

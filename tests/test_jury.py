@@ -271,6 +271,31 @@ class TestMonteCarlo:
         mc = monte_carlo_verdict(config)
         assert abs(mc.p_correct - 0.5) <= 3.0 * mc.stderr
 
+    # (abilities, theta, tie rule, conditional, seed) -> p_correct, pinned
+    # from the draws of the simulator before it shared the juror step.
+    PINNED = [
+        ((0.0, 0.7, 0.4), 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, False, 11, 0.6828),
+        ((0.0, 0.7, 0.4), 0.5, TieBreak.VOTE_A, False, 12, 0.67815),
+        ((0.0, 0.7, 0.4), 0.5, TieBreak.VOTE_B, True, 13, 0.6781),
+        ((0.0,) * 5, 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, False, 14, 0.4965),
+        ((0.0,) * 3, 0.5, TieBreak.VOTE_A, True, 15, 0.5),
+        ((1.0, 0.3, 0.6), 0.3, TieBreak.FOLLOW_SIGNAL_SIGN, True, 16,
+         0.7890999999999999),
+        ((0.9, 0.2, 0.55, 0.35, 0.8, 0.1, 0.65, 0.45, 0.7), 0.7,
+         TieBreak.FOLLOW_SIGNAL_SIGN, False, 17, 0.80695),
+        (tuple(round(0.04 * k, 2) for k in range(25)), 0.4, TieBreak.VOTE_B, True,
+         18, 0.7406),
+    ]
+
+    @pytest.mark.parametrize("abilities,theta,tie_break,conditional,seed,expected",
+                             PINNED)
+    def test_draws_are_pinned(self, abilities, theta, tie_break, conditional,
+                              seed, expected):
+        config = make_config(abilities, theta=theta, tie_break=tie_break,
+                             trials=20_000, seed=seed)
+        assert monte_carlo_verdict(config, conditional=conditional).p_correct \
+            == expected
+
 
 class TestOrderScan:
     def test_middle_first_wins_on_spread_triple(self):

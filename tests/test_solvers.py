@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailbalance import (
+    Affine,
     CoefficientPair,
     DegenerateAbility,
     DegenerateAlpha,
@@ -27,6 +32,7 @@ from tailbalance import (
     solve_balanced,
     solve_odds,
 )
+from tailbalance.alpha import RESIDUAL_TOL
 
 HALF = Prior(0.5)
 ABILITIES = [round(0.1 * k, 1) for k in range(1, 11)]
@@ -120,6 +126,81 @@ class TestBoundaryBehavior:
         solved = solve_odds(LinearAbility(0.25, 0.9), prior)
         assert abs(solved(-1.0)) <= 1e-12
         assert abs(solved(1.0) - 1.0) <= 1e-12
+
+    def test_alpha_missing_theta_by_a_rounding(self):
+        # 0.545 - 0.245 = 0.30000000000000004: H(-1) must still be exactly
+        # 0, or the residual's ratio at t = +1 reads 0 instead of 1
+        solved = solve_odds(Affine(0.545, 0.245), Prior(0.3))
+        assert solved(-1.0) == 0.0
+        assert solved.max_residual <= RESIDUAL_TOL
+
+
+class TestBalancedFormula:
+    """solve_balanced is solve_odds at theta = 1/2; these tests hold it to
+    the textbook balanced formula itself, bit for bit."""
+
+    @staticmethod
+    def _textbook(alpha, t):
+        at, an = alpha(t), alpha(-t)
+        return (2.0 * at - 1.0) * (1.0 - an) / (at + (an - 1.0))
+
+    @staticmethod
+    def _alphas():
+        t = np.linspace(-1.0, 1.0, 201)
+        curved = 0.5 + 0.375 * ((t + 1.0) / 2.0) ** 1.3
+        yield LinearAbility(0.5, 0.7)
+        yield LinearAbility(0.5, 1.0)
+        yield Affine(0.6, 0.1)
+        yield Tabulated(tuple(zip(t.tolist(), curved.tolist())))
+
+    @pytest.mark.parametrize("grid_size", [1001, 20001])
+    def test_equals_the_textbook_formula(self, grid_size):
+        grid = np.linspace(-1.0, 1.0, grid_size)
+        for alpha in self._alphas():
+            solved = solve_balanced(alpha, grid_size=grid_size)
+            assert np.array_equal(solved(grid), self._textbook(alpha, grid)), alpha
+            assert solved.is_valid_cdf
+
+
+class TestExtremePriors:
+    def test_tiny_theta_does_not_overflow(self):
+        # lambda**2 overflows below theta ~ 1e-154; the scaled form does not
+        prior = Prior(1e-160)
+        solved = solve_odds(LinearAbility(1e-160, 0.7), prior)
+        assert solved.is_valid_cdf
+        assert solved.max_residual <= RESIDUAL_TOL
+        assert solved(0.0) > 0.0
+
+    @pytest.mark.parametrize("theta", [0.999, 0.9999])
+    @pytest.mark.parametrize("a", [0.3, 0.9])
+    def test_prior_near_one_stays_a_cdf(self, theta, a):
+        # the two denominator terms cancel to three digits here unless the
+        # solver arranges them as a difference of tail products
+        prior = Prior(theta)
+        solved = solve_odds(LinearAbility(theta, a), prior)
+        assert solved.is_valid_cdf
+        assert solved.max_residual <= RESIDUAL_TOL
+        closed = closed_form_linear_odds(a, prior)
+        assert np.max(np.abs(solved(GRID_201) - closed(GRID_201))) <= 1e-10
+
+
+@st.composite
+def tiny_priors(draw):
+    """theta log-uniform in [1e-300, 1/2]."""
+    return 10.0 ** draw(st.floats(-300.0, math.log10(0.5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.05, 1.0), theta=tiny_priors())
+def test_odds_solver_matches_closed_form_at_any_small_prior(a, theta):
+    prior = Prior(theta)
+    solved = solve_odds(LinearAbility(theta, a), prior)
+    assert solved.is_valid_cdf
+    assert solved.max_residual <= RESIDUAL_TOL
+    assert solved(-1.0) == 0.0
+    grid = np.linspace(-1.0, 1.0, 1001)
+    closed = closed_form_linear_odds(a, prior)
+    assert np.max(np.abs(solved(grid) - closed(grid))) <= 1e-12
 
 
 class TestDegeneracies:
