@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .signals import _check_ability
 
 #: Absolute tolerance for pointwise equality of two evaluated functions.
 EQUALITY_TOL = 1e-12
@@ -60,13 +61,10 @@ class LinearAbility(AlphaSpec):
 
     def __post_init__(self) -> None:
         theta = float(self.theta)
-        a = float(self.a)
         if not 0.0 < theta < 1.0:
             raise DomainError(f"theta must lie strictly in (0, 1), got {self.theta!r}")
-        if not 0.0 <= a <= 1.0:
-            raise DomainError(f"ability must lie in [0, 1], got {self.a!r}")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _check_ability(self.a))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

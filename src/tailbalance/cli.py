@@ -105,6 +105,16 @@ def _pick(flag_value, cfg: dict, key: str, default=None):
     return default
 
 
+def _require(flag_value, cfg: dict, key: str):
+    """``_pick`` for a parameter with no default; its flag is ``--<key>``."""
+    value = _pick(flag_value, cfg, key)
+    if value is None:
+        raise click.UsageError(
+            f"missing required parameter: --{key} (or '{key}' in --config)"
+        )
+    return value
+
+
 def _resolve_alpha(cfg, kind, theta, ability, intercept, slope):
     """Build (AlphaSpec, Prior, linear ability or None) from flags + config."""
     kind = _pick(kind, cfg, "kind", "linear")
@@ -184,41 +194,55 @@ def _ordering_str(abilities) -> str:
     return ";".join(format(float(a), ".17g") for a in abilities)
 
 
-def _resolve_jury(cfg, abilities, theta, tie_break, trials, seed) -> JuryConfig:
-    merged = {k: v for k, v in cfg.items()
-              if k in ("abilities", "theta", "tie_break", "trials", "seed")}
+def _resolve_jury(cfg, abilities, theta, tie_break, trials=None, seed=None) -> JuryConfig:
     if abilities is not None:
         try:
-            merged["abilities"] = [float(x) for x in abilities.split(",") if x.strip()]
+            abilities = [float(x) for x in abilities.split(",") if x.strip()]
         except ValueError:
             raise click.UsageError(
                 f"--abilities must be comma-separated numbers, got {abilities!r}"
             )
-    if theta is not None:
-        merged["theta"] = theta
-    if tie_break is not None:
-        merged["tie_break"] = tie_break
-    if trials is not None:
-        merged["trials"] = trials
-    if seed is not None:
-        merged["seed"] = seed
-    if "abilities" not in merged:
-        raise click.UsageError(
-            "missing required parameter: --abilities (or 'abilities' in --config)"
-        )
+    flags = {"abilities": abilities, "theta": theta, "tie_break": tie_break,
+             "trials": trials, "seed": seed}
+    merged = {k: v for k, v in cfg.items() if k in flags}
+    merged.update((k, v) for k, v in flags.items() if v is not None)
+    _require(abilities, cfg, "abilities")
     return JuryConfig.from_json(merged)
 
 
+def _emit_verdicts(subcommand: str, output_format: str, config: JuryConfig,
+                   verdicts, **params) -> None:
+    """Write (ordering, p_correct, method, stderr) rows under a spec holding
+    the jury's abilities, theta and tie rule plus ``params``."""
+    spec = CommandSpec(subcommand, output_format, {
+        "abilities": list(config.abilities),
+        "theta": config.prior.theta,
+        "tie_break": config.tie_break.value,
+        **params,
+    })
+    rows = [[_ordering_str(ordering), float(p), method, float(stderr)]
+            for ordering, p, method, stderr in verdicts]
+    _emit(spec, ["ordering", "p_correct", "method", "stderr"], rows)
+
+
+_config_option = click.option("--config", "config_path", type=str, default=None,
+                              help="JSON file of parameters; flags override it.")
+_theta_option = click.option("--theta", type=float, default=None,
+                             help="Prior probability of state A.")
+_ability_option = click.option("--a", "ability", type=float, default=None,
+                               help="Ability of the signal distribution (and of the "
+                                    "linear alpha family).")
+_uniform_option = click.option("--allow-uniform-limit", is_flag=True, default=False,
+                               help="Accept the uniform-CDF limit for degenerate "
+                                    "(constant) alpha.")
+
 _alpha_options = [
-    click.option("--config", "config_path", type=str, default=None,
-                 help="JSON file carrying alpha/jury parameters; flags override it."),
+    _config_option,
     click.option("--alpha", "alpha_kind",
                  type=click.Choice(["linear", "affine", "table"]), default=None,
                  help="Shape of the target function (default linear)."),
-    click.option("--theta", type=float, default=None,
-                 help="Prior probability of state A."),
-    click.option("--a", "ability", type=float, default=None,
-                 help="Ability for the linear alpha family."),
+    _theta_option,
+    _ability_option,
     click.option("--intercept", type=float, default=None,
                  help="Intercept of an affine alpha."),
     click.option("--slope", type=float, default=None,
@@ -226,12 +250,10 @@ _alpha_options = [
 ]
 
 _jury_options = [
-    click.option("--config", "config_path", type=str, default=None,
-                 help="JSON file carrying jury parameters; flags override it."),
+    _config_option,
     click.option("--abilities", type=str, default=None,
                  help="Comma-separated abilities in voting order."),
-    click.option("--theta", type=float, default=None,
-                 help="Prior probability of state A."),
+    _theta_option,
     click.option("--tie-break", "tie_break",
                  type=click.Choice(["follow_signal", "vote_a", "vote_b"]),
                  default=None, help="Rule at posterior exactly 1/2."),
@@ -262,8 +284,7 @@ def cli():
               show_default=True, help="Which solver produces H.")
 @click.option("--grid", type=int, default=201, show_default=True,
               help="Number of output points on [-1, +1].")
-@click.option("--allow-uniform-limit", is_flag=True, default=False,
-              help="Accept the uniform-CDF limit for degenerate (constant) alpha.")
+@_uniform_option
 @_format_option
 def solve(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
           grid, allow_uniform_limit, output_format):
@@ -300,8 +321,7 @@ def solve(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
               help="Check-grid size (odd, >= 3).")
 @click.option("--tol", type=float, default=1e-10, show_default=True,
               help="Verification fails (exit 2) if the max residual exceeds this.")
-@click.option("--allow-uniform-limit", is_flag=True, default=False,
-              help="Accept the uniform-CDF limit for degenerate (constant) alpha.")
+@_uniform_option
 @_format_option
 def verify(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
            grid, tol, allow_uniform_limit, output_format):
@@ -336,10 +356,8 @@ def verify(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
 
 
 @cli.command()
-@click.option("--config", "config_path", type=str, default=None,
-              help="JSON file; flags override it.")
-@click.option("--a", "ability", type=float, default=None,
-              help="Ability of the signal distribution.")
+@_config_option
+@_ability_option
 @click.option("--state", type=click.Choice(["A", "B"]), default="A",
               show_default=True, help="Conditioning state of nature.")
 @click.option("--n", "count", type=int, default=100, show_default=True,
@@ -349,9 +367,7 @@ def verify(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
 def sample(config_path, ability, state, count, seed, output_format):
     """Draw signals by inverse transform; emit (i, signal) rows."""
     cfg = _load_config(config_path)
-    a = _pick(ability, cfg, "a")
-    if a is None:
-        raise click.UsageError("missing required parameter: --a (or 'a' in --config)")
+    a = _require(ability, cfg, "a")
     seed_val = int(_pick(seed, cfg, "seed", 0))
     draws = sample_signal(float(a), StateOfNature[state], count, seed_val)
     spec = CommandSpec("sample", output_format, {
@@ -362,12 +378,9 @@ def sample(config_path, ability, state, count, seed, output_format):
 
 
 @cli.command()
-@click.option("--config", "config_path", type=str, default=None,
-              help="JSON file; flags override it.")
-@click.option("--a", "ability", type=float, default=None,
-              help="Ability of the signal distribution.")
-@click.option("--theta", type=float, default=None,
-              help="Prior probability of state A (default 0.5).")
+@_config_option
+@_ability_option
+@_theta_option
 @click.option("--s", "signal", type=float, default=None,
               help="Evaluate at one signal instead of a grid.")
 @click.option("--grid", type=int, default=201, show_default=True,
@@ -376,9 +389,7 @@ def sample(config_path, ability, state, count, seed, output_format):
 def posterior(config_path, ability, theta, signal, grid, output_format):
     """Posterior probability of state A after observing a signal."""
     cfg = _load_config(config_path)
-    a = _pick(ability, cfg, "a")
-    if a is None:
-        raise click.UsageError("missing required parameter: --a (or 'a' in --config)")
+    a = _require(ability, cfg, "a")
     theta_val = float(_pick(theta, cfg, "theta", 0.5))
     prior = Prior(theta_val)
     if signal is not None:
@@ -410,12 +421,9 @@ def simulate(config_path, abilities, theta, tie_break, trials, seed,
     cfg = _load_config(config_path)
     config = _resolve_jury(cfg, abilities, theta, tie_break, trials, seed)
     stats = monte_carlo_verdict(config, conditional=conditional)
-    spec = CommandSpec("simulate", output_format, {
-        **config.to_json(), "conditional": bool(conditional),
-    })
-    rows = [[_ordering_str(config.abilities), float(stats.p_correct),
-             stats.method.value, float(stats.stderr)]]
-    _emit(spec, ["ordering", "p_correct", "method", "stderr"], rows)
+    _emit_verdicts("simulate", output_format, config,
+                   [(config.abilities, stats.p_correct, stats.method.value, stats.stderr)],
+                   trials=config.trials, seed=config.seed, conditional=bool(conditional))
 
 
 @cli.command()
@@ -424,16 +432,10 @@ def simulate(config_path, abilities, theta, tie_break, trials, seed,
 def exact(config_path, abilities, theta, tie_break, output_format):
     """Exact majority-verdict accuracy by history enumeration."""
     cfg = _load_config(config_path)
-    config = _resolve_jury(cfg, abilities, theta, tie_break, None, None)
+    config = _resolve_jury(cfg, abilities, theta, tie_break)
     stats = exact_verdict_probability(config)
-    spec = CommandSpec("exact", output_format, {
-        "abilities": list(config.abilities),
-        "theta": config.prior.theta,
-        "tie_break": config.tie_break.value,
-    })
-    rows = [[_ordering_str(config.abilities), float(stats.p_correct),
-             stats.method.value, float(stats.stderr)]]
-    _emit(spec, ["ordering", "p_correct", "method", "stderr"], rows)
+    _emit_verdicts("exact", output_format, config,
+                   [(config.abilities, stats.p_correct, stats.method.value, stats.stderr)])
 
 
 @cli.command("order-scan")
@@ -442,21 +444,14 @@ def exact(config_path, abilities, theta, tie_break, output_format):
 def order_scan_command(config_path, abilities, theta, tie_break, output_format):
     """Exact accuracy of every voting order, best first."""
     cfg = _load_config(config_path)
-    config = _resolve_jury(cfg, abilities, theta, tie_break, None, None)
-    rows_out = order_scan(config.abilities, config.prior, config.tie_break)
-    spec = CommandSpec("order-scan", output_format, {
-        "abilities": list(config.abilities),
-        "theta": config.prior.theta,
-        "tie_break": config.tie_break.value,
-    })
-    rows = [[_ordering_str(row.ordering), float(row.p_correct), "exact", 0.0]
-            for row in rows_out]
-    _emit(spec, ["ordering", "p_correct", "method", "stderr"], rows)
+    config = _resolve_jury(cfg, abilities, theta, tie_break)
+    rows = order_scan(config.abilities, config.prior, config.tie_break)
+    _emit_verdicts("order-scan", output_format, config,
+                   [(row.ordering, row.p_correct, "exact", 0.0) for row in rows])
 
 
 @cli.command()
-@click.option("--config", "config_path", type=str, default=None,
-              help="JSON file; flags override it.")
+@_config_option
 @click.option("--p", "p_value", type=float, default=None,
               help="Per-juror correctness probability, in (1/2, 1].")
 @click.option("--n-max", "n_max", type=int, default=None,
@@ -465,9 +460,7 @@ def order_scan_command(config_path, abilities, theta, tie_break, output_format):
 def condorcet(config_path, p_value, n_max, output_format):
     """Majority accuracy of the binary baseline for odd jury sizes."""
     cfg = _load_config(config_path)
-    p = _pick(p_value, cfg, "p")
-    if p is None:
-        raise click.UsageError("missing required parameter: --p (or 'p' in --config)")
+    p = _require(p_value, cfg, "p")
     n_top = int(_pick(n_max, cfg, "n_max", 101))
     curve = condorcet_curve(float(p), n_top)
     spec = CommandSpec("condorcet", output_format, {

@@ -32,6 +32,8 @@ from .signals import (
     StateOfNature,
     _cdf_A_on_support,
     _cdf_B_on_support,
+    _check_ability,
+    _check_prior,
     _quantile_A_on_support,
 )
 
@@ -72,14 +74,10 @@ class JuryConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        abilities = tuple(float(a) for a in self.abilities)
+        abilities = tuple(_check_ability(float(a)) for a in self.abilities)
         if not abilities:
             raise DomainError("abilities must be non-empty")
-        for a in abilities:
-            if not 0.0 <= a <= 1.0:
-                raise DomainError(f"ability must lie in [0, 1], got {a!r}")
-        if not isinstance(self.prior, Prior):
-            raise DomainError(f"prior must be a Prior, got {self.prior!r}")
+        _check_prior(self.prior)
         if not isinstance(self.tie_break, TieBreak):
             raise DomainError(f"tie_break must be a TieBreak, got {self.tie_break!r}")
         trials = int(self.trials)
@@ -305,10 +303,8 @@ def vote_threshold(a: float, posterior_a_before_signal: float) -> float:
     threshold and raises ZeroAbility so the caller can fall back to the
     tie rule.
     """
-    a = float(a)
+    a = _check_ability(a)
     q = float(posterior_a_before_signal)
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"ability must lie in [0, 1], got {a!r}")
     if not 0.0 < q < 1.0:
         raise DomainError(
             f"posterior_a_before_signal must lie strictly in (0, 1), got {q!r}"
@@ -468,7 +464,10 @@ def monte_carlo_verdict(config: JuryConfig, *, conditional: bool = False) -> Ver
 
     ``conditional=True`` stratifies: trials are split between the two
     states in proportion to the prior and each stratum is averaged with
-    its prior weight, which removes the variance of the state draw.
+    its prior weight, which removes the variance of the state draw.  A
+    plain run is the single stratum of weight 1 whose state is drawn, so
+    both modes share one estimator: p = sum of w * p_s and
+    var = sum of w**2 * p_s * (1 - p_s) / n_s over the strata.
     """
     _require_odd(config)
     theta = config.prior.theta
@@ -478,40 +477,30 @@ def monte_carlo_verdict(config: JuryConfig, *, conditional: bool = False) -> Ver
             raise DomainError("conditional mode needs at least 2 trials")
         n_a = int(round(theta * trials))
         n_a = min(max(n_a, 1), trials - 1)
-        plan = [(StateOfNature.A, s) for s in _chunk_sizes(n_a)]
-        plan += [(StateOfNature.B, s) for s in _chunk_sizes(trials - n_a)]
+        strata = [(StateOfNature.A, theta, n_a),
+                  (StateOfNature.B, 1.0 - theta, trials - n_a)]
     else:
-        plan = [(None, s) for s in _chunk_sizes(trials)]
+        strata = [(None, 1.0, trials)]
+    plan = [(state, size) for state, _, n_s in strata for size in _chunk_sizes(n_s)]
     children = np.random.SeedSequence(config.seed).spawn(len(plan))
-    jobs = [(state, size, child) for (state, size), child in zip(plan, children)]
-    workers = _worker_cap(len(jobs))
+    workers = _worker_cap(len(plan))
 
-    def run(job):
-        state, size, child = job
-        return state, size, _simulate_chunk(config, size, child, fixed_state=state)
+    def run(job, child):
+        state, size = job
+        return _simulate_chunk(config, size, child, fixed_state=state)
 
     if workers == 1:
-        outcomes = [run(job) for job in jobs]
+        hits = list(map(run, plan, children))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, jobs))
+            hits = list(pool.map(run, plan, children))
 
-    if conditional:
-        correct = {StateOfNature.A: 0, StateOfNature.B: 0}
-        totals = {StateOfNature.A: 0, StateOfNature.B: 0}
-        for state, size, hits in outcomes:
-            correct[state] += hits
-            totals[state] += size
-        p_hat_a = correct[StateOfNature.A] / totals[StateOfNature.A]
-        p_hat_b = correct[StateOfNature.B] / totals[StateOfNature.B]
-        p_hat = theta * p_hat_a + (1.0 - theta) * p_hat_b
-        var = (theta**2 * p_hat_a * (1.0 - p_hat_a) / totals[StateOfNature.A]
-               + (1.0 - theta)**2 * p_hat_b * (1.0 - p_hat_b) / totals[StateOfNature.B])
-        stderr = math.sqrt(var)
-    else:
-        hits = sum(h for _, _, h in outcomes)
-        p_hat = hits / trials
-        stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    p_hat = var = 0.0
+    for state, w, n_s in strata:
+        p_s = sum(h for (s, _), h in zip(plan, hits) if s is state) / n_s
+        p_hat += w * p_s
+        var += w**2 * p_s * (1.0 - p_s) / n_s
+    stderr = math.sqrt(var)
     return VerdictStats(p_correct=p_hat, method=Method.MONTE_CARLO,
                         stderr=stderr, trials_used=trials)
 

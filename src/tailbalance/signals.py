@@ -53,15 +53,28 @@ class Prior:
         theta = float(self.theta)
         if not 0.0 < theta < 1.0:
             raise DomainError(f"theta must lie strictly in (0, 1), got {self.theta!r}")
+        odds_lambda = (1.0 - theta) / theta
+        if not np.isfinite(odds_lambda):  # only a subnormal theta, below ~5.6e-309
+            raise DomainError(
+                f"theta = {self.theta!r} is too small: the prior odds "
+                "(1 - theta)/theta overflow"
+            )
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "odds_lambda", (1.0 - theta) / theta)
+        object.__setattr__(self, "odds_lambda", odds_lambda)
 
 
 def _check_ability(ability: float) -> float:
+    """``ability`` as a float; raises DomainError outside [0, 1] (NaN included)."""
     a = float(ability)
-    if not 0.0 <= a <= 1.0 or np.isnan(a):
+    if not 0.0 <= a <= 1.0:
         raise DomainError(f"ability must lie in [0, 1], got {ability!r}")
     return a
+
+
+def _check_prior(prior: Prior) -> Prior:
+    if not isinstance(prior, Prior):
+        raise DomainError(f"prior must be a Prior, got {prior!r}")
+    return prior
 
 
 def _check_state(state: StateOfNature) -> StateOfNature:
@@ -176,8 +189,7 @@ def posterior_from_signal(ability: float, t, prior: Prior):
 
         theta * (1 + a*t) / (theta * (1 + a*t) + (1 - theta) * (1 - a*t))
     """
-    if not isinstance(prior, Prior):
-        raise DomainError(f"prior must be a Prior, got {prior!r}")
+    _check_prior(prior)
     a = _check_ability(ability)
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0):

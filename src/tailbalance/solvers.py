@@ -43,7 +43,7 @@ from .errors import (
     InvalidBoundary,
     SingularCoefficients,
 )
-from .signals import Prior, cdf_given_A
+from .signals import Prior, _check_ability, _check_prior, cdf_given_A
 
 DEFAULT_GRID = 1001
 
@@ -117,9 +117,7 @@ def closed_form_linear(a: float, *, grid_size: int = DEFAULT_GRID) -> SolvedCdf:
     signal CDF at ability ``a``; zero ability gives the uniform CDF with
     no error (the closed form has no division to degenerate).
     """
-    if not 0.0 <= float(a) <= 1.0:
-        raise DomainError(f"ability must lie in [0, 1], got {a!r}")
-    a = float(a)
+    a = _check_ability(a)
     evaluator = _vec(lambda t: np.asarray(cdf_given_A(a, t), dtype=float))
     return _finish(evaluator, Provenance.CLOSED_FORM_LINEAR,
                    LinearAbility(0.5, a), _BALANCED_PRIOR,
@@ -196,8 +194,7 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
     zero-ability degeneracy); ``allow_uniform_limit=True`` opts into the
     uniform-CDF limit.
     """
-    if not isinstance(prior, Prior):
-        raise DomainError(f"prior must be a Prior, got {prior!r}")
+    _check_prior(prior)
     n = _check_grid_size(grid_size)
     theta = prior.theta
     boundary = float(np.asarray(alpha(-1.0), dtype=float))
@@ -247,11 +244,8 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
     where numerator and denominator vanish together; the limit there is
     the uniform CDF, returned only on explicit request.
     """
-    if not isinstance(prior, Prior):
-        raise DomainError(f"prior must be a Prior, got {prior!r}")
-    if not 0.0 <= float(a) <= 1.0:
-        raise DomainError(f"ability must lie in [0, 1], got {a!r}")
-    a = float(a)
+    _check_prior(prior)
+    a = _check_ability(a)
     n = _check_grid_size(grid_size)
     alpha = LinearAbility(prior.theta, a)
     if a == 0.0:
@@ -280,9 +274,7 @@ def decomposition_parts(a: float):
     yields f(t) = t for every ability and g(t) = (2 - a + a*t**2) / 2.
     Returns the pair (f, g) as vectorized callables.
     """
-    if not 0.0 <= float(a) <= 1.0:
-        raise DomainError(f"ability must lie in [0, 1], got {a!r}")
-    a = float(a)
+    a = _check_ability(a)
 
     def f(t):
         t = np.asarray(t, dtype=float)
@@ -345,8 +337,7 @@ def residual_check(h, alpha: AlphaSpec, prior: Prior,
     the boundary surfaces as a large residual rather than an exception.
     """
     n = _check_grid_size(grid_size)
-    if not isinstance(prior, Prior):
-        raise DomainError(f"prior must be a Prior, got {prior!r}")
+    _check_prior(prior)
     lam = prior.odds_lambda
     grid = np.linspace(-1.0, 1.0, n)
     h_pos = evaluate_on(h, grid)
@@ -379,8 +370,7 @@ def posterior_tail(h, t, prior: Prior):
     candidate H ran out of mass early, which raises Indeterminate
     instead of inventing a number.
     """
-    if not isinstance(prior, Prior):
-        raise DomainError(f"prior must be a Prior, got {prior!r}")
+    _check_prior(prior)
     lam = prior.odds_lambda
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     h_pos = evaluate_on(h, t_arr)

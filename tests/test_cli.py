@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from tailbalance.cli import main
+
 RUN = [sys.executable, "-m", "tailbalance"]
 
 
@@ -88,6 +90,14 @@ class TestSolveCommand:
         result = run_cli("solve")
         assert result.returncode == 1
         assert "--a" in result.stderr
+
+    def test_prior_whose_odds_overflow_is_refused(self):
+        result = run_cli("solve", "--theta", "1e-310", "--a", "0.7")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: theta = 1e-310 is too small: the prior odds (1 - theta)/theta overflow"
+        ]
 
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "alpha.json"
@@ -259,6 +269,30 @@ class TestCondorcetCommand:
     def test_rejects_half_p(self):
         result = run_cli("condorcet", "--p", "0.5", "--n-max", "5")
         assert result.returncode == 1
+
+
+class TestMissingParameters:
+    @pytest.mark.parametrize("args,line", [
+        (["sample"], "Error: missing required parameter: --a (or 'a' in --config)"),
+        (["posterior", "--theta", "0.3"],
+         "Error: missing required parameter: --a (or 'a' in --config)"),
+        (["condorcet", "--n-max", "5"],
+         "Error: missing required parameter: --p (or 'p' in --config)"),
+        (["simulate", "--trials", "10"],
+         "Error: missing required parameter: --abilities (or 'abilities' in --config)"),
+        (["exact", "--theta", "0.3"],
+         "Error: missing required parameter: --abilities (or 'abilities' in --config)"),
+        (["order-scan"],
+         "Error: missing required parameter: --abilities (or 'abilities' in --config)"),
+        (["solve", "--theta", "0.3"], "Error: linear alpha needs --a (or 'a' in --config)"),
+    ])
+    def test_exits_one_with_the_error_line(self, args, line, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == line
 
 
 class TestEntryPoint:

@@ -287,14 +287,23 @@ class TestMonteCarlo:
          18, 0.7406),
     ]
 
+    #: stderr of each PINNED row, keyed by its seed
+    PINNED_STDERR = {
+        11: 0.0032907762002299702, 12: 0.003303502516269664,
+        13: 0.0032998719672132737, 14: 0.0035354472842909143, 15: 0.0,
+        16: 0.0025537845398918204, 17: 0.00279089320379695,
+        18: 0.0025097025678686843,
+    }
+
     @pytest.mark.parametrize("abilities,theta,tie_break,conditional,seed,expected",
                              PINNED)
     def test_draws_are_pinned(self, abilities, theta, tie_break, conditional,
                               seed, expected):
         config = make_config(abilities, theta=theta, tie_break=tie_break,
                              trials=20_000, seed=seed)
-        assert monte_carlo_verdict(config, conditional=conditional).p_correct \
-            == expected
+        stats = monte_carlo_verdict(config, conditional=conditional)
+        assert stats.p_correct == expected
+        assert stats.stderr == self.PINNED_STDERR[seed]
 
 
 class TestOrderScan:

@@ -34,6 +34,15 @@ class TestPrior:
         with pytest.raises(DomainError):
             Prior(theta)
 
+    @pytest.mark.parametrize("theta", [1e-310, 5e-324])
+    def test_rejects_theta_whose_odds_overflow(self, theta):
+        with pytest.raises(DomainError, match="overflow"):
+            Prior(theta)
+
+    def test_smallest_normal_priors_keep_finite_odds(self):
+        assert Prior(1e-300).odds_lambda == (1.0 - 1e-300) / 1e-300
+        assert np.isfinite(Prior(np.finfo(float).tiny).odds_lambda)
+
 
 class TestCdfs:
     def test_symmetry_identity(self):

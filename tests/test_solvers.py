@@ -183,6 +183,22 @@ class TestExtremePriors:
         closed = closed_form_linear_odds(a, prior)
         assert np.max(np.abs(solved(GRID_201) - closed(GRID_201))) <= 1e-10
 
+    @pytest.mark.parametrize("one_minus_theta", [1e-6, 1e-9, 1e-12, 1e-15])
+    @pytest.mark.parametrize("a", [0.3, 0.9, 1.0])
+    def test_prior_nearer_one_is_refused_or_right(self, one_minus_theta, a):
+        # near theta = 1 alpha's values have lost the digits of 1 - alpha, so
+        # an H that passes its own residual check can still be far from the
+        # closed form; the guard must refuse rather than return that H
+        theta = 1.0 - one_minus_theta
+        prior = Prior(theta)
+        try:
+            solved = solve_odds(LinearAbility(theta, a), prior)
+        except DegenerateAlpha:
+            return
+        grid = np.linspace(-1.0, 1.0, 1001)
+        closed = closed_form_linear_odds(a, prior)
+        assert np.max(np.abs(solved(grid) - closed(grid))) <= 1e-9
+
 
 @st.composite
 def tiny_priors(draw):
