@@ -123,8 +123,9 @@ def _resolve_alpha(cfg, kind, theta, ability, intercept, slope):
         a = _pick(ability, cfg, "a")
         if a is None:
             raise click.UsageError("linear alpha needs --a (or 'a' in --config)")
-        theta_val = 0.5 if theta_val is None else float(theta_val)
-        return LinearAbility(theta_val, float(a)), Prior(theta_val), float(a)
+        prior = Prior(0.5 if theta_val is None else theta_val)
+        alpha = LinearAbility(prior.theta, a)
+        return alpha, prior, alpha.a
     if kind == "affine":
         b = _pick(intercept, cfg, "intercept")
         s = _pick(slope, cfg, "slope")
@@ -369,7 +370,7 @@ def sample(config_path, ability, state, count, seed, output_format):
     cfg = _load_config(config_path)
     a = _require(ability, cfg, "a")
     seed_val = int(_pick(seed, cfg, "seed", 0))
-    draws = sample_signal(float(a), StateOfNature[state], count, seed_val)
+    draws = sample_signal(a, StateOfNature[state], count, seed_val)
     spec = CommandSpec("sample", output_format, {
         "a": float(a), "state": state, "n": int(count), "seed": seed_val,
     })
@@ -390,17 +391,16 @@ def posterior(config_path, ability, theta, signal, grid, output_format):
     """Posterior probability of state A after observing a signal."""
     cfg = _load_config(config_path)
     a = _require(ability, cfg, "a")
-    theta_val = float(_pick(theta, cfg, "theta", 0.5))
-    prior = Prior(theta_val)
+    prior = Prior(_pick(theta, cfg, "theta", 0.5))
     if signal is not None:
         ts = np.asarray([float(signal)])
     else:
         if grid < 2:
             raise click.UsageError(f"--grid must be at least 2, got {grid}")
         ts = np.linspace(-1.0, 1.0, grid)
-    ps = np.asarray(posterior_from_signal(float(a), ts, prior), dtype=float)
+    ps = np.asarray(posterior_from_signal(a, ts, prior), dtype=float)
     spec = CommandSpec("posterior", output_format, {
-        "a": float(a), "theta": theta_val,
+        "a": float(a), "theta": prior.theta,
         "s": None if signal is None else float(signal),
         "grid": int(grid),
     })

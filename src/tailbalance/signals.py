@@ -50,7 +50,10 @@ class Prior:
     odds_lambda: float = field(init=False)
 
     def __post_init__(self) -> None:
-        theta = float(self.theta)
+        try:
+            theta = float(self.theta)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"theta must be a number, got {self.theta!r}") from None
         if not 0.0 < theta < 1.0:
             raise DomainError(f"theta must lie strictly in (0, 1), got {self.theta!r}")
         odds_lambda = (1.0 - theta) / theta
@@ -64,8 +67,12 @@ class Prior:
 
 
 def _check_ability(ability: float) -> float:
-    """``ability`` as a float; raises DomainError outside [0, 1] (NaN included)."""
-    a = float(ability)
+    """``ability`` as a float; raises DomainError for a non-number or a
+    value outside [0, 1] (NaN included)."""
+    try:
+        a = float(ability)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"ability must be a number, got {ability!r}") from None
     if not 0.0 <= a <= 1.0:
         raise DomainError(f"ability must lie in [0, 1], got {ability!r}")
     return a

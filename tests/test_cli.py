@@ -295,6 +295,28 @@ class TestMissingParameters:
         assert captured.err.splitlines()[-1] == line
 
 
+class TestWrongTypedConfig:
+    @pytest.mark.parametrize("command,config,line", [
+        ("exact", {"abilities": [0.5, 0.6, 0.7], "theta": None},
+         "error: theta must be a number, got None"),
+        ("exact", {"abilities": "0.5,0.6,0.7"},
+         "error: abilities must be a list of numbers, got '0.5,0.6,0.7'"),
+        ("sample", {"a": "x"}, "error: ability must be a number, got 'x'"),
+        ("simulate", {"abilities": [0.5, 0.6, 0.7], "trials": "many"},
+         "error: trials must be an integer, got 'many'"),
+    ])
+    def test_exits_one_with_one_error_line(self, command, config, line, tmp_path,
+                                           capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
+
+
 class TestEntryPoint:
     def test_version_flag(self):
         result = run_cli("--version", check=0)

@@ -31,7 +31,13 @@ from tailbalance import (
     order_scan,
     vote_threshold,
 )
-from tailbalance.jury import _exact_majority_a
+from tailbalance.jury import (
+    _exact_majority_a,
+    _juror_step,
+    _posterior_given_history,
+    _simulate_chunk,
+)
+from tailbalance.signals import _quantile_A_on_support
 
 HALF = Prior(0.5)
 
@@ -65,6 +71,20 @@ class TestJuryConfig:
             make_config((0.5,), seed=-1)
         with pytest.raises(DomainError):
             JuryConfig.from_json({"abilities": [0.5], "tie_break": "coin_flip"})
+
+    @pytest.mark.parametrize("fields", [
+        {"abilities": [0.5], "theta": None},
+        {"abilities": [0.5], "theta": 10**400},
+        {"abilities": "0.5,0.6,0.7"},
+        {"abilities": 0.5},
+        {"abilities": [0.5, None, 0.7]},
+        {"abilities": [0.5], "trials": "many"},
+        {"abilities": [0.5], "trials": float("inf")},
+        {"abilities": [0.5], "seed": [1]},
+    ])
+    def test_wrong_types_are_domain_errors(self, fields):
+        with pytest.raises(DomainError):
+            JuryConfig.from_json(fields)
 
 
 class TestVoteThreshold:
@@ -285,6 +305,11 @@ class TestMonteCarlo:
          TieBreak.FOLLOW_SIGNAL_SIGN, False, 17, 0.80695),
         (tuple(round(0.04 * k, 2) for k in range(25)), 0.4, TieBreak.VOTE_B, True,
          18, 0.7406),
+        # n = 101, where the most vote histories are occupied; pinned from
+        # the simulator that computed every trial's posterior on its own
+        (tuple(round(0.01 * k, 2) for k in range(101)), 0.6,
+         TieBreak.FOLLOW_SIGNAL_SIGN, False, 19, 0.78085),
+        ((0.0,) + (0.3,) * 100, 0.5, TieBreak.VOTE_A, True, 20, 0.65015),
     ]
 
     #: stderr of each PINNED row, keyed by its seed
@@ -292,7 +317,8 @@ class TestMonteCarlo:
         11: 0.0032907762002299702, 12: 0.003303502516269664,
         13: 0.0032998719672132737, 14: 0.0035354472842909143, 15: 0.0,
         16: 0.0025537845398918204, 17: 0.00279089320379695,
-        18: 0.0025097025678686843,
+        18: 0.0025097025678686843, 19: 0.0029250921139341917,
+        20: 0.0033723501819947466,
     }
 
     @pytest.mark.parametrize("abilities,theta,tie_break,conditional,seed,expected",
@@ -453,3 +479,54 @@ def test_exact_walk_matches_brute_force_histories(abilities, theta, tie_break):
     np.testing.assert_allclose(_exact_majority_a(config),
                                brute_force_majority_a(config),
                                rtol=0.0, atol=1e-12)
+
+
+def per_trial_chunk(config, size, seed_seq, fixed_state=None):
+    """The Monte Carlo kernel as it was before it grouped trials by vote
+    history: every trial carries its own log-likelihoods and computes its
+    own posterior and cutoff at every juror."""
+    rng = np.random.default_rng(seed_seq)
+    theta = config.prior.theta
+    if fixed_state is None:
+        is_a = rng.random(size) < theta
+    else:
+        is_a = np.full(size, fixed_state is StateOfNature.A)
+    ll_a = np.zeros(size)
+    ll_b = np.zeros(size)
+    votes_a = np.zeros(size, dtype=np.int64)
+    for a in config.abilities:
+        u = rng.random(size)
+        u_eff = np.where(is_a, u, 1.0 - u)
+        s_as_if_a = _quantile_A_on_support(a, u_eff)  # u_eff lies in [0, 1]
+        s = np.where(is_a, s_as_if_a, -s_as_if_a)
+        q = _posterior_given_history(theta, ll_a, ll_b)
+        cut, p_a, p_b = _juror_step(a, q, config.tie_break)
+        if a > 0.0:
+            vote_a = s >= cut
+        else:  # P(vote A) is 0 or 1, or 1/2 where the tie follows the signal
+            vote_a = np.where(p_a == 0.5, s >= 0.0, p_a == 1.0)
+        with np.errstate(divide="ignore"):
+            ll_a = ll_a + np.log(np.where(vote_a, p_a, 1.0 - p_a))
+            ll_b = ll_b + np.log(np.where(vote_a, p_b, 1.0 - p_b))
+        votes_a += vote_a
+    majority_a = votes_a > len(config.abilities) // 2
+    return int(np.sum(majority_a == is_a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(abilities=st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15, 101]).flatmap(
+           lambda n: st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
+                                        st.floats(0.0, 1.0)),
+                              min_size=n, max_size=n)),
+       # 1/2 itself puts a zero-ability juror on the tie rule
+       theta=st.one_of(st.just(0.5), log_uniform_priors()),
+       tie_break=st.sampled_from(list(TieBreak)),
+       fixed_state=st.sampled_from([None, StateOfNature.A, StateOfNature.B]),
+       size=st.sampled_from([1, 7, 16384]),
+       seed=st.integers(0, 2**64 - 1))
+def test_history_kernel_counts_what_the_per_trial_kernel_counts(
+        abilities, theta, tie_break, fixed_state, size, seed):
+    config = make_config(abilities, theta=theta, tie_break=tie_break)
+    expected = per_trial_chunk(config, size, np.random.SeedSequence(seed), fixed_state)
+    assert _simulate_chunk(config, size, np.random.SeedSequence(seed),
+                           fixed_state) == expected
