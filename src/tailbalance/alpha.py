@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .signals import _check_ability
+from .signals import Prior, _check_ability
 
 #: Absolute tolerance for pointwise equality of two evaluated functions.
 EQUALITY_TOL = 1e-12
@@ -60,10 +60,7 @@ class LinearAbility(AlphaSpec):
     a: float
 
     def __post_init__(self) -> None:
-        theta = float(self.theta)
-        if not 0.0 < theta < 1.0:
-            raise DomainError(f"theta must lie strictly in (0, 1), got {self.theta!r}")
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", Prior(self.theta).theta)
         object.__setattr__(self, "a", _check_ability(self.a))
 
     def __call__(self, t):
@@ -87,8 +84,14 @@ class Affine(AlphaSpec):
     slope: float
 
     def __post_init__(self) -> None:
-        b = float(self.intercept)
-        a = float(self.slope)
+        try:
+            b = float(self.intercept)
+            a = float(self.slope)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(
+                f"intercept and slope must be numbers, got {self.intercept!r} "
+                f"and {self.slope!r}"
+            ) from None
         if not a > 0.0:
             raise DomainError(f"slope must be positive, got {self.slope!r}")
         if not 0.0 < b - a < 1.0:
@@ -129,7 +132,7 @@ class Tabulated(AlphaSpec):
     def __post_init__(self) -> None:
         try:
             pts = tuple((float(t), float(v)) for t, v in self.points)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"points must be (t, alpha) pairs: {exc}") from exc
         if len(pts) < 2:
             raise DomainError("a tabulated alpha needs at least two knots")
@@ -175,7 +178,7 @@ def alpha_from_json(obj: dict | str) -> AlphaSpec:
             )
         return spec
     if kind == "table":
-        return Tabulated(points=tuple(tuple(p) for p in obj["points"]))
+        return Tabulated(points=obj["points"])
     raise DomainError(f"unknown alpha kind {kind!r}")
 
 

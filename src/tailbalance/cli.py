@@ -20,6 +20,7 @@ from . import __version__
 from .alpha import Affine, AlphaSpec, LinearAbility, SolvedCdf, Tabulated
 from .errors import DomainError, SolverError
 from .jury import (
+    CondorcetModel,
     JuryConfig,
     condorcet_curve,
     exact_verdict_probability,
@@ -133,15 +134,15 @@ def _resolve_alpha(cfg, kind, theta, ability, intercept, slope):
             raise click.UsageError(
                 "affine alpha needs --intercept and --slope (or config keys)"
             )
-        spec = Affine(float(b), float(s))
-        theta_val = spec.intercept - spec.slope if theta_val is None else float(theta_val)
+        spec = Affine(b, s)
+        theta_val = spec.intercept - spec.slope if theta_val is None else theta_val
         return spec, Prior(theta_val), None
     if kind == "table":
         points = cfg.get("points")
         if points is None:
             raise click.UsageError("table alpha needs 'points' in --config")
-        spec = Tabulated(tuple(tuple(p) for p in points))
-        theta_val = float(spec(-1.0)) if theta_val is None else float(theta_val)
+        spec = Tabulated(points)
+        theta_val = spec(-1.0) if theta_val is None else theta_val
         return spec, Prior(theta_val), None
     raise click.UsageError(f"unknown alpha kind: {kind!r}")
 
@@ -369,10 +370,11 @@ def sample(config_path, ability, state, count, seed, output_format):
     """Draw signals by inverse transform; emit (i, signal) rows."""
     cfg = _load_config(config_path)
     a = _require(ability, cfg, "a")
-    seed_val = int(_pick(seed, cfg, "seed", 0))
+    seed_val = _pick(seed, cfg, "seed", 0)
     draws = sample_signal(a, StateOfNature[state], count, seed_val)
+    # both values passed sample_signal's checks
     spec = CommandSpec("sample", output_format, {
-        "a": float(a), "state": state, "n": int(count), "seed": seed_val,
+        "a": float(a), "state": state, "n": int(count), "seed": int(seed_val),
     })
     rows = [[i, float(s)] for i, s in enumerate(draws)]
     _emit(spec, ["i", "signal"], rows)
@@ -460,11 +462,10 @@ def order_scan_command(config_path, abilities, theta, tie_break, output_format):
 def condorcet(config_path, p_value, n_max, output_format):
     """Majority accuracy of the binary baseline for odd jury sizes."""
     cfg = _load_config(config_path)
-    p = _require(p_value, cfg, "p")
-    n_top = int(_pick(n_max, cfg, "n_max", 101))
-    curve = condorcet_curve(float(p), n_top)
+    largest = CondorcetModel(_require(p_value, cfg, "p"), _pick(n_max, cfg, "n_max", 101))
+    curve = condorcet_curve(largest.p, largest.n)
     spec = CommandSpec("condorcet", output_format, {
-        "p": float(p), "n_max": n_top,
+        "p": largest.p, "n_max": largest.n,
     })
     rows = [[int(n), float(v)] for n, v in curve]
     _emit(spec, ["n", "p_correct"], rows)

@@ -18,7 +18,6 @@ import enum
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -34,7 +33,8 @@ from .signals import (
     _cdf_B_on_support,
     _check_ability,
     _check_prior,
-    _quantile_A_on_support,
+    _check_seed,
+    _integer,
 )
 
 #: Largest jury the exact enumeration will attempt.
@@ -63,13 +63,6 @@ class Method(enum.Enum):
     MONTE_CARLO = "monte_carlo"
 
 
-def _integer(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class JuryConfig:
     """A jury: voting order, prior, tie rule, and simulation budget."""
@@ -88,11 +81,9 @@ class JuryConfig:
         if not isinstance(self.tie_break, TieBreak):
             raise DomainError(f"tie_break must be a TieBreak, got {self.tie_break!r}")
         trials = _integer(self.trials, "trials")
-        seed = _integer(self.seed, "seed")
         if trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials!r}")
-        if not 0 <= seed < 2**64:
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        seed = _check_seed(self.seed)
         object.__setattr__(self, "abilities", abilities)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", seed)
@@ -157,8 +148,11 @@ class CondorcetModel:
     n: int
 
     def __post_init__(self) -> None:
-        p = float(self.p)
-        n = int(self.n)
+        try:
+            p = float(self.p)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"p must be a number, got {self.p!r}") from None
+        n = _integer(self.n, "n")
         if not 0.5 < p <= 1.0:
             raise DomainError(f"p must lie in (1/2, 1], got {self.p!r}")
         if n < 1 or n % 2 == 0:
@@ -417,66 +411,70 @@ def exact_verdict_probability(config: JuryConfig) -> VerdictStats:
 def _simulate_chunk(config: JuryConfig, size: int, seed_seq, fixed_state=None) -> int:
     """Simulate ``size`` juries and return how many verdicts were correct.
 
-    A juror's cutoff depends only on the votes cast before them, so the
-    trials are grouped by vote history.  The kernel keeps the occupied
-    histories (nodes) of the current level as short arrays (log-likelihood
-    under A and under B, votes for A), and each trial keeps the index of
-    its node.  The cost per juror splits in two:
+    Once the vote history and the state are fixed, a juror's vote is a
+    Bernoulli draw with P(vote A) = 1 - F_state(s*), the probability
+    ``_juror_step`` returns, independently across trials.  So the chunk
+    carries counts, not trials: for each occupied history of the current
+    level its log-likelihoods under A and B, its votes for A, and how
+    many trials sit there in state A (``cnt_a``) and in state B
+    (``cnt_b``).  A plain chunk draws its state-A count from
+    Binomial(size, theta); a stratified one puts every trial in
+    ``fixed_state``.
 
-    * per trial: the uniform draw, the signal quantile, the compare with
-      its node's cutoff and the move to a child node;
-    * per occupied history: the posterior, ``_juror_step`` and the logs
-      of the child log-likelihoods.
-
-    Children are laid out A children first, then B children, as in
-    ``_level_walk``, and unoccupied ones are dropped.  Herding keeps the
-    levels narrow: the ``mc-sim`` benchmark juries occupy at most a few
-    dozen nodes per level at n <= 7 and about 2,600 at n = 101, against
-    16,384 trials per chunk.  Each trial's history goes through the same
-    float operations as when every trial carried its own posterior, so
-    the count is unchanged bit for bit.  One 16,384-trial chunk of a
-    random n = 101 jury takes about 45 ms instead of 123 ms, and an n = 3
-    chunk about 1.7 ms instead of 4.4 ms (2-CPU x86 host, numpy 2.4).
+    Each juror costs, per occupied history, the posterior, one
+    ``_juror_step`` and two binomial draws that split each count into A
+    and B voters.  Children are laid out A children first, then B
+    children, as in ``_level_walk``.  A child whose side has reached a
+    majority is retired: its state-A trials (A majority) or state-B
+    trials (B majority) are added to the hits.  Unoccupied children are
+    dropped.  Nothing is done per trial, so the cost follows the occupied
+    histories alone.  In a 16,384-trial chunk the ``mc-sim`` juries
+    (seed 7) occupy at most 2 histories per level at n = 3, 7 at n = 7,
+    about 300 at n = 25 and 2,200 at n = 101.
+    One 16,384-trial chunk of a random jury takes about 0.4 ms at n = 3,
+    1.1 ms at n = 7, 2.3 ms at n = 25 and 18-22 ms at n = 101, against
+    1.8, 4.1, 8.5 and 45 ms when every trial drew its own signal (median
+    of 21, 2-CPU x86 host, numpy 2.4).  The binomial draws dominate at
+    n = 101.
     """
     rng = np.random.default_rng(seed_seq)
     theta = config.prior.theta
     if fixed_state is None:
-        is_a = rng.random(size) < theta
+        n_a = rng.binomial(size, theta)
     else:
-        is_a = fixed_state is StateOfNature.A
-    # state B draws the mirrored signal -quantile_A(1 - u); abs and the
-    # sign flip are exact, and plain arithmetic beats np.where on a mask
-    flip = 1.0 - is_a
-    sign = 1.0 - 2.0 * flip
-    node = np.zeros(size, dtype=np.intp)
+        n_a = size if fixed_state is StateOfNature.A else 0
+    need = len(config.abilities) // 2 + 1
+    cnt_a = np.array([n_a], dtype=np.int64)
+    cnt_b = np.array([size - n_a], dtype=np.int64)
     ll_a = np.zeros(1)
     ll_b = np.zeros(1)
     votes_a = np.zeros(1, dtype=np.int64)
-    for a in config.abilities:
-        s = _quantile_A_on_support(a, np.abs(flip - rng.random(size))) * sign
+    hits = 0
+    for i, a in enumerate(config.abilities):
         q = _posterior_given_history(theta, ll_a, ll_b)
-        cut, p_a, p_b = _juror_step(a, q, config.tie_break)
-        if a == 0.0:
-            # P(vote A) is 1, 0, or 1/2 where the tie follows the signal's
-            # sign: cutoffs -inf, +inf and 0
-            cut = np.where(p_a == 0.5, 0.0, np.where(p_a == 1.0, -np.inf, np.inf))
-        vote_a = s >= cut[node]
-        nodes = len(ll_a)
-        child = node + nodes * ~vote_a
-        occupied = np.flatnonzero(np.bincount(child, minlength=2 * nodes))
-        renumber = np.empty(2 * nodes, dtype=np.intp)
-        renumber[occupied] = np.arange(len(occupied))
-        node = renumber[child]
-        parent = occupied % nodes
+        _, p_a, p_b = _juror_step(a, q, config.tie_break)
+        up_a = rng.binomial(cnt_a, p_a)
+        up_b = rng.binomial(cnt_b, p_b)
+        cnt_a = np.concatenate((up_a, cnt_a - up_a))
+        cnt_b = np.concatenate((up_b, cnt_b - up_b))
+        votes_a = np.concatenate((votes_a + 1, votes_a))
+        won_a = votes_a == need
+        won_b = i + 1 - votes_a == need
+        hits += int(cnt_a[won_a].sum()) + int(cnt_b[won_b].sum())
+        keep = np.flatnonzero(~(won_a | won_b) & (cnt_a + cnt_b > 0))
+        parent = keep % len(ll_a)
         with np.errstate(divide="ignore"):
-            ll_a = ll_a[parent] + np.log(np.concatenate((p_a, 1.0 - p_a))[occupied])
-            ll_b = ll_b[parent] + np.log(np.concatenate((p_b, 1.0 - p_b))[occupied])
-        votes_a = votes_a[parent] + (occupied < nodes)
-    majority_a = votes_a > len(config.abilities) // 2
-    return int(np.sum(majority_a[node] == is_a))
+            ll_a = ll_a[parent] + np.log(np.concatenate((p_a, 1.0 - p_a))[keep])
+            ll_b = ll_b[parent] + np.log(np.concatenate((p_b, 1.0 - p_b))[keep])
+        cnt_a, cnt_b, votes_a = cnt_a[keep], cnt_b[keep], votes_a[keep]
+    return hits
 
 
 def _worker_cap(n_chunks: int) -> int:
+    """Worker count a thread pool over ``n_chunks`` chunks would use:
+    TAILBALANCE_THREADS, else min(8, CPUs).  Monte Carlo runs its chunks
+    in the calling thread; the ``mc-sim`` benchmark still sizes its
+    calibration pool from this."""
     env = os.environ.get("TAILBALANCE_THREADS", "").strip()
     if env:
         try:
@@ -498,10 +496,9 @@ def _chunk_sizes(total: int) -> list[int]:
 def monte_carlo_verdict(config: JuryConfig, *, conditional: bool = False) -> VerdictStats:
     """Monte Carlo estimate of the correct-verdict probability.
 
-    Trials run in fixed-size chunks, each with its own generator spawned
-    deterministically from the config seed, and combine by integer
-    addition; the estimate is therefore byte-identical regardless of
-    how many workers execute the chunks (capped by TAILBALANCE_THREADS).
+    Trials run in fixed-size chunks, in order in the calling thread, each
+    with its own generator spawned deterministically from the config
+    seed; the hits combine by integer addition.
 
     ``conditional=True`` stratifies: trials are split between the two
     states in proportion to the prior and each stratum is averaged with
@@ -510,13 +507,12 @@ def monte_carlo_verdict(config: JuryConfig, *, conditional: bool = False) -> Ver
     both modes share one estimator: p = sum of w * p_s and
     var = sum of w**2 * p_s * (1 - p_s) / n_s over the strata.
 
-    Each chunk (``_simulate_chunk``) pays per trial for the draw, the
-    quantile and the compare, and per occupied vote history for the
-    posterior, the cutoff and the logs.  On a 2-CPU x86 host (numpy 2.4)
-    this runs at about 30-45M juror-draws/s per thread, against 11-17M/s
-    when every trial computed its own posterior, and the ``mc-sim``
-    benchmark's median call (n = 3 to 101, two workers) takes 0.084 s
-    instead of 0.144 s.
+    Each chunk (``_simulate_chunk``) works per occupied vote history,
+    with no per-trial work: a posterior, a cutoff and two binomial draws
+    per history and juror.  With no per-trial work left, a two-thread
+    pool over the chunks measured slower than one thread: a median call
+    over the 16 ``mc-sim`` juries (seed 61) took 37 ms against 25 ms
+    (2-CPU x86 host, numpy 2.4), so the chunks run serially.
     """
     _require_odd(config)
     theta = config.prior.theta
@@ -532,17 +528,8 @@ def monte_carlo_verdict(config: JuryConfig, *, conditional: bool = False) -> Ver
         strata = [(None, 1.0, trials)]
     plan = [(state, size) for state, _, n_s in strata for size in _chunk_sizes(n_s)]
     children = np.random.SeedSequence(config.seed).spawn(len(plan))
-    workers = _worker_cap(len(plan))
-
-    def run(job, child):
-        state, size = job
-        return _simulate_chunk(config, size, child, fixed_state=state)
-
-    if workers == 1:
-        hits = list(map(run, plan, children))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = list(pool.map(run, plan, children))
+    hits = [_simulate_chunk(config, size, child, fixed_state=state)
+            for (state, size), child in zip(plan, children)]
 
     p_hat = var = 0.0
     for state, w, n_s in strata:
@@ -626,13 +613,9 @@ def condorcet_error(model: CondorcetModel) -> float:
 
 
 def condorcet_curve(p: float, n_max: int) -> list[tuple[int, float]]:
-    """(n, majority accuracy) for every odd n up to n_max."""
-    p = float(p)
-    n_max = int(n_max)
-    if not 0.5 < p <= 1.0:
-        raise DomainError(f"p must lie in (1/2, 1], got {p!r}")
-    if n_max < 1 or n_max % 2 == 0:
-        raise DomainError(f"n_max must be an odd positive integer, got {n_max!r}")
-    ns = np.arange(1, n_max + 1, 2)
-    vals = binom.sf(ns // 2, ns, p)
+    """(n, majority accuracy) for every odd n up to n_max, which must
+    make a valid ``CondorcetModel`` with p."""
+    largest = CondorcetModel(p, n_max)
+    ns = np.arange(1, largest.n + 1, 2)
+    vals = binom.sf(ns // 2, ns, largest.p)
     return list(zip(ns.tolist(), np.asarray(vals, dtype=float).tolist()))

@@ -84,6 +84,22 @@ def _check_prior(prior: Prior) -> Prior:
     return prior
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int; raises DomainError unless it is an integer in
+    [0, 2**64)."""
+    value = _integer(seed, "seed")
+    if not 0 <= value < 2**64:
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return value
+
+
 def _check_state(state: StateOfNature) -> StateOfNature:
     if not isinstance(state, StateOfNature):
         raise DomainError(f"state must be a StateOfNature, got {state!r}")
@@ -184,7 +200,10 @@ def sample_signal(
     _check_state(state)
     if int(size) < 0:
         raise DomainError(f"size must be non-negative, got {size!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        rng = np.random.default_rng(None if seed is None else _check_seed(seed))
     u = rng.random(int(size))
     return np.asarray(quantile_given_state(a, u, state), dtype=float)
 

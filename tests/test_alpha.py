@@ -35,6 +35,9 @@ class TestLinearAbility:
             LinearAbility(theta=0.5, a=-0.1)
         with pytest.raises(DomainError):
             LinearAbility(theta=0.5, a=1.5)
+        for theta in (None, "x"):
+            with pytest.raises(DomainError):
+                LinearAbility(theta=theta, a=0.5)
 
     def test_json_roundtrip(self):
         spec = LinearAbility(theta=0.4, a=0.7)
@@ -59,6 +62,12 @@ class TestAffine:
         with pytest.raises(DomainError):
             Affine(intercept=0.9, slope=0.3)
 
+    def test_rejects_non_numbers(self):
+        with pytest.raises(DomainError):
+            Affine(intercept="x", slope=0.2)
+        with pytest.raises(DomainError):
+            Affine(intercept=0.6, slope=None)
+
     def test_json_roundtrip(self):
         spec = Affine(intercept=0.65, slope=0.15)
         clone = alpha_from_json(spec.to_json())
@@ -78,6 +87,11 @@ class TestTabulated:
     def test_requires_strictly_increasing_values(self):
         with pytest.raises(DomainError):
             Tabulated(points=((-1.0, 0.5), (0.0, 0.5), (1.0, 0.9)))
+
+    @pytest.mark.parametrize("points", [5, [[-1.0, 0.5, 0.1]], [[-1.0, "x"], [1.0, 0.9]]])
+    def test_rejects_malformed_points(self, points):
+        with pytest.raises(DomainError):
+            alpha_from_json({"kind": "table", "points": points})
 
     def test_json_roundtrip(self):
         spec = Tabulated(points=((-1.0, 0.5), (-0.25, 0.62), (1.0, 0.95)))

@@ -304,6 +304,13 @@ class TestWrongTypedConfig:
         ("sample", {"a": "x"}, "error: ability must be a number, got 'x'"),
         ("simulate", {"abilities": [0.5, 0.6, 0.7], "trials": "many"},
          "error: trials must be an integer, got 'many'"),
+        ("sample", {"a": 0.5, "seed": "x"}, "error: seed must be an integer, got 'x'"),
+        ("condorcet", {"p": "x"}, "error: p must be a number, got 'x'"),
+        ("condorcet", {"n_max": "x", "p": 0.6}, "error: n must be an integer, got 'x'"),
+        ("solve", {"kind": "affine", "intercept": "x", "slope": 0.2},
+         "error: intercept and slope must be numbers, got 'x' and 0.2"),
+        ("solve", {"kind": "table", "points": 5},
+         "error: points must be (t, alpha) pairs: 'int' object is not iterable"),
     ])
     def test_exits_one_with_one_error_line(self, command, config, line, tmp_path,
                                            capsys):

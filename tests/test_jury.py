@@ -292,33 +292,33 @@ class TestMonteCarlo:
         assert abs(mc.p_correct - 0.5) <= 3.0 * mc.stderr
 
     # (abilities, theta, tie rule, conditional, seed) -> p_correct, pinned
-    # from the draws of the simulator before it shared the juror step.
+    # from the draws of the kernel that splits each vote history's counts
+    # with binomial draws
     PINNED = [
-        ((0.0, 0.7, 0.4), 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, False, 11, 0.6828),
-        ((0.0, 0.7, 0.4), 0.5, TieBreak.VOTE_A, False, 12, 0.67815),
-        ((0.0, 0.7, 0.4), 0.5, TieBreak.VOTE_B, True, 13, 0.6781),
-        ((0.0,) * 5, 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, False, 14, 0.4965),
+        ((0.0, 0.7, 0.4), 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, False, 11, 0.6713),
+        ((0.0, 0.7, 0.4), 0.5, TieBreak.VOTE_A, False, 12, 0.6753),
+        ((0.0, 0.7, 0.4), 0.5, TieBreak.VOTE_B, True, 13, 0.6757),
+        ((0.0,) * 5, 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, False, 14, 0.50605),
         ((0.0,) * 3, 0.5, TieBreak.VOTE_A, True, 15, 0.5),
         ((1.0, 0.3, 0.6), 0.3, TieBreak.FOLLOW_SIGNAL_SIGN, True, 16,
-         0.7890999999999999),
+         0.7899999999999999),
         ((0.9, 0.2, 0.55, 0.35, 0.8, 0.1, 0.65, 0.45, 0.7), 0.7,
-         TieBreak.FOLLOW_SIGNAL_SIGN, False, 17, 0.80695),
+         TieBreak.FOLLOW_SIGNAL_SIGN, False, 17, 0.8067),
         (tuple(round(0.04 * k, 2) for k in range(25)), 0.4, TieBreak.VOTE_B, True,
-         18, 0.7406),
-        # n = 101, where the most vote histories are occupied; pinned from
-        # the simulator that computed every trial's posterior on its own
+         18, 0.7436),
+        # n = 101, where the most vote histories are occupied
         (tuple(round(0.01 * k, 2) for k in range(101)), 0.6,
-         TieBreak.FOLLOW_SIGNAL_SIGN, False, 19, 0.78085),
-        ((0.0,) + (0.3,) * 100, 0.5, TieBreak.VOTE_A, True, 20, 0.65015),
+         TieBreak.FOLLOW_SIGNAL_SIGN, False, 19, 0.78695),
+        ((0.0,) + (0.3,) * 100, 0.5, TieBreak.VOTE_A, True, 20, 0.6516),
     ]
 
     #: stderr of each PINNED row, keyed by its seed
     PINNED_STDERR = {
-        11: 0.0032907762002299702, 12: 0.003303502516269664,
-        13: 0.0032998719672132737, 14: 0.0035354472842909143, 15: 0.0,
-        16: 0.0025537845398918204, 17: 0.00279089320379695,
-        18: 0.0025097025678686843, 19: 0.0029250921139341917,
-        20: 0.0033723501819947466,
+        11: 0.0033215682290147226, 12: 0.0033111169565571068,
+        13: 0.003302020214959321, 14: 0.0035352750776990465, 15: 0.0,
+        16: 0.0025525616218483997, 17: 0.0027922670896602998,
+        18: 0.0024776585048522457, 19: 0.0028953384733049776,
+        20: 0.003369029533856894,
     }
 
     @pytest.mark.parametrize("abilities,theta,tie_break,conditional,seed,expected",
@@ -423,6 +423,11 @@ class TestCondorcet:
             condorcet_curve(0.4, 5)
         with pytest.raises(DomainError):
             condorcet_curve(0.6, 10)
+        for p, n in (("x", 3), (None, 3), (0.6, "x"), (0.6, None)):
+            with pytest.raises(DomainError):
+                CondorcetModel(p=p, n=n)
+            with pytest.raises(DomainError):
+                condorcet_curve(p, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -483,8 +488,9 @@ def test_exact_walk_matches_brute_force_histories(abilities, theta, tie_break):
 
 def per_trial_chunk(config, size, seed_seq, fixed_state=None):
     """The Monte Carlo kernel as it was before it grouped trials by vote
-    history: every trial carries its own log-likelihoods and computes its
-    own posterior and cutoff at every juror."""
+    history: every trial draws its own signal and carries its own
+    log-likelihoods, and computes its own posterior and cutoff at every
+    juror."""
     rng = np.random.default_rng(seed_seq)
     theta = config.prior.theta
     if fixed_state is None:
@@ -513,20 +519,102 @@ def per_trial_chunk(config, size, seed_seq, fixed_state=None):
     return int(np.sum(majority_a == is_a))
 
 
-@settings(max_examples=60, deadline=None)
-@given(abilities=st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15, 101]).flatmap(
-           lambda n: st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
+STATES = [None, StateOfNature.A, StateOfNature.B]
+
+
+def chunk_mean(kernel, config, fixed_state, chunks, size=16384, seed=0):
+    """Mean hit rate of ``chunks`` chunks whose seeds are spawned from
+    ``seed``, as ``monte_carlo_verdict`` spawns them."""
+    children = np.random.SeedSequence(seed).spawn(chunks)
+    hits = sum(kernel(config, size, child, fixed_state) for child in children)
+    return hits / (chunks * size)
+
+
+def exact_hit_rate(config, fixed_state):
+    """P(correct verdict) in ``fixed_state``, or under the prior for None."""
+    won_a, won_b = _exact_majority_a(config)
+    if fixed_state is StateOfNature.A:
+        return won_a
+    if fixed_state is StateOfNature.B:
+        return 1.0 - won_b
+    theta = config.prior.theta
+    return theta * won_a + (1.0 - theta) * (1.0 - won_b)
+
+
+def zero_led_abilities(n):
+    """A zero-ability juror first (the tie rule decides at theta = 1/2),
+    then a fully able one, then fixed random abilities."""
+    if n == 1:
+        return (0.6,)
+    rest = np.random.default_rng(n).uniform(0.0, 1.0, n - 2)
+    return (0.0, 1.0, *rest.tolist())
+
+
+@pytest.mark.parametrize("fixed_state", STATES)
+@pytest.mark.parametrize("theta", [0.5, 0.7])
+@pytest.mark.parametrize("tie_break", list(TieBreak))
+@pytest.mark.parametrize("n", [1, 3, 7, 15, 25])
+def test_history_kernel_matches_the_exact_walk(n, tie_break, theta, fixed_state):
+    config = make_config(zero_led_abilities(n), theta=theta, tie_break=tie_break)
+    p = exact_hit_rate(config, fixed_state)
+    trials = 64 * 16384
+    mean = chunk_mean(_simulate_chunk, config, fixed_state, chunks=64, seed=n)
+    assert abs(mean - p) <= 5.0 * math.sqrt(p * (1.0 - p) / trials) + 1e-12
+
+
+@pytest.mark.parametrize("fixed_state", STATES)
+@pytest.mark.parametrize("abilities, theta, tie_break", [
+    (tuple(round(0.01 * k, 2) for k in range(101)), 0.6, TieBreak.FOLLOW_SIGNAL_SIGN),
+    ((0.0,) + (0.3,) * 100, 0.5, TieBreak.VOTE_A),
+], ids=["spread-101", "zero-led-101"])
+def test_history_kernel_matches_the_per_trial_kernel_at_101(abilities, theta, tie_break,
+                                                            fixed_state):
+    # beyond the exact walk's cap: the per-trial kernel is the reference
+    config = make_config(abilities, theta=theta, tie_break=tie_break)
+    chunks = 8
+    by_counts = chunk_mean(_simulate_chunk, config, fixed_state, chunks, seed=1)
+    by_trials = chunk_mean(per_trial_chunk, config, fixed_state, chunks, seed=2)
+    pooled = (by_counts + by_trials) / 2.0
+    se = math.sqrt(2.0 * pooled * (1.0 - pooled) / (chunks * 16384))
+    assert abs(by_counts - by_trials) <= 5.0 * se
+
+
+@st.composite
+def extreme_priors(draw):
+    """theta across the range the CLI accepts, 1e-300 to 1 - 1e-16."""
+    if draw(st.booleans()):
+        return 10.0 ** draw(st.floats(-300.0, math.log10(0.5)))
+    return 1.0 - 10.0 ** draw(st.floats(-16.0, math.log10(0.5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(abilities=st.sampled_from([1, 3, 5, 7, 9, 15, 101]).flatmap(
+           lambda n: st.lists(st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-310]),
                                         st.floats(0.0, 1.0)),
                               min_size=n, max_size=n)),
-       # 1/2 itself puts a zero-ability juror on the tie rule
-       theta=st.one_of(st.just(0.5), log_uniform_priors()),
+       theta=st.one_of(st.just(0.5), extreme_priors()),
        tie_break=st.sampled_from(list(TieBreak)),
-       fixed_state=st.sampled_from([None, StateOfNature.A, StateOfNature.B]),
+       fixed_state=st.sampled_from(STATES),
        size=st.sampled_from([1, 7, 16384]),
        seed=st.integers(0, 2**64 - 1))
-def test_history_kernel_counts_what_the_per_trial_kernel_counts(
+def test_history_kernel_returns_a_count_at_any_accepted_input(
         abilities, theta, tie_break, fixed_state, size, seed):
+    # rng.binomial raises on a probability outside [0, 1] or NaN
     config = make_config(abilities, theta=theta, tie_break=tie_break)
-    expected = per_trial_chunk(config, size, np.random.SeedSequence(seed), fixed_state)
-    assert _simulate_chunk(config, size, np.random.SeedSequence(seed),
-                           fixed_state) == expected
+    hits = _simulate_chunk(config, size, np.random.SeedSequence(seed), fixed_state)
+    assert 0 <= hits <= size
+
+
+@pytest.mark.parametrize("fixed_state", [StateOfNature.A, StateOfNature.B])
+@pytest.mark.parametrize("theta", [0.5, 0.3, 0.8])
+@pytest.mark.parametrize("tie_break", [TieBreak.VOTE_A, TieBreak.VOTE_B])
+@pytest.mark.parametrize("n", [1, 3, 25, 101])
+def test_uninformed_jury_in_a_fixed_state_hits_exactly(n, tie_break, theta, fixed_state):
+    # every vote follows the prior or the tie rule, so each trial's
+    # verdict is certain and the count is exact
+    config = make_config((0.0,) * n, theta=theta, tie_break=tie_break)
+    p = exact_hit_rate(config, fixed_state)
+    assert p in (0.0, 1.0)
+    for size in (1, 7, 16384):
+        hits = _simulate_chunk(config, size, np.random.SeedSequence(n), fixed_state)
+        assert hits == p * size

@@ -172,6 +172,11 @@ class TestSampling:
         second = sample_signal(0.4, StateOfNature.B, 10, seed=rng2)
         np.testing.assert_array_equal(first, second)
 
+    @pytest.mark.parametrize("seed", ["x", [1], -1, 2**64])
+    def test_rejects_seed_outside_the_64_bit_range(self, seed):
+        with pytest.raises(DomainError):
+            sample_signal(0.4, StateOfNature.A, 10, seed=seed)
+
 
 class TestPosterior:
     def test_point_values(self):
