@@ -140,9 +140,9 @@ class Tabulated(AlphaSpec):
         vs = np.array([p[1] for p in pts])
         if abs(ts[0] + 1.0) > EQUALITY_TOL or abs(ts[-1] - 1.0) > EQUALITY_TOL:
             raise DomainError("knots must start at t=-1 and end at t=+1")
-        if np.any(np.diff(ts) <= 0.0):
+        if not np.all(np.diff(ts) > 0.0):
             raise DomainError("knot abscissae must be strictly increasing")
-        if np.any(np.diff(vs) <= 0.0):
+        if not np.all(np.diff(vs) > 0.0):
             raise DomainError("knot values must be strictly increasing")
         if vs[0] <= 0.0 or vs[0] >= 1.0 or vs[-1] > 1.0 + EQUALITY_TOL:
             raise DomainError("knot values must lie in (0, 1]")
@@ -266,7 +266,7 @@ class SolvedCdf:
             raise DomainError("a tabulated H needs at least two points")
         ts = np.array([p[0] for p in pts])
         hs = np.array([p[1] for p in pts])
-        if np.any(np.diff(ts) <= 0.0):
+        if not np.all(np.diff(ts) > 0.0):
             raise DomainError("tabulated t values must be strictly increasing")
         if abs(ts[0] + 1.0) > EQUALITY_TOL or abs(ts[-1] - 1.0) > EQUALITY_TOL:
             raise DomainError("tabulated H must cover t=-1 through t=+1")

@@ -199,7 +199,7 @@ def _ordering_str(abilities) -> str:
 def _resolve_jury(cfg, abilities, theta, tie_break, trials=None, seed=None) -> JuryConfig:
     if abilities is not None:
         try:
-            abilities = [float(x) for x in abilities.split(",") if x.strip()]
+            abilities = [float(x) for x in abilities.split(",")]
         except ValueError:
             raise click.UsageError(
                 f"--abilities must be comma-separated numbers, got {abilities!r}"

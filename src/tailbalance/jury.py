@@ -324,60 +324,84 @@ def _require_odd(config: JuryConfig) -> int:
     return n
 
 
-def _level_walk(abilities: np.ndarray, theta: float,
-                tie_break: TieBreak) -> tuple[np.ndarray, np.ndarray]:
-    """P(majority votes A | state A) and P(majority votes A | state B) for
+def _level_walk(abilities: np.ndarray, theta: float, tie_break: TieBreak,
+                w_a, w_b, split) -> tuple[np.ndarray, np.ndarray]:
+    """Weight that reaches an A majority, in state A and in state B, for
     each row of an (orders, n) array of voting orders.
 
-    Walks the vote-history tree one juror at a time.  The frontier holds
-    every undecided prefix of every order as parallel arrays (order
-    index, votes for A, log-likelihood under A, under B).  Each level
-    grows the A child where either state can cast an A vote and the B
-    child where either can cast a B vote, banks the mass of A children
-    that reach a majority, and drops B children whose side has already
-    won.  Compaction is stable, so an order's prefixes meet the tally in
-    the same sequence whether the order runs alone or in a batch, and
-    the results agree bit for bit.
+    The one walk over the vote-history tree, one juror per level.  Per
+    undecided history the frontier holds its order, its votes for A and,
+    as (2, histories) arrays with state A first, its log-likelihoods
+    ``ll`` and weights ``w``; the roots weigh ``w_a`` and ``w_b``.  Given
+    the history and the state, a vote is a Bernoulli draw with P(vote A)
+    from ``_juror_step``.  ``c[s]`` holds P(vote A) then P(vote B) in
+    state s, and ``split(w, c)`` returns the children's weights in that
+    (2, 2m) layout: by the draw's mean for the exact walk
+    (``_mean_split``), by a binomial draw of counts for Monte Carlo
+    (``_simulate_chunk``).  A children that reach a majority are banked
+    per order with ``np.bincount``; they, B children that reach a
+    majority and children of zero weight leave the frontier.  Compaction
+    is stable, so an order's results agree bit for bit alone or in a
+    batch.
     """
     orders, n = abilities.shape
     need = n // 2 + 1
     won_a = np.zeros(orders)
     won_b = np.zeros(orders)
-    order = np.arange(orders)
-    count = np.zeros(orders, dtype=np.int64)
-    ll_a = np.zeros(orders)
-    ll_b = np.zeros(orders)
+    row = np.arange(orders)
+    votes = np.zeros(orders, dtype=np.int64)
+    ll = np.zeros((2, orders))
+    w = np.stack((w_a, w_b))
     for i in range(n):
-        q = _posterior_given_history(theta, ll_a, ll_b)
-        _, p_a, p_b = _juror_step(abilities[order, i], q, tie_break)
-        grow_a = (p_a > 0.0) | (p_b > 0.0)
-        grow_b = (p_a < 1.0) | (p_b < 1.0)
-        won = grow_a & (count == need - 1)
-        grow_a &= ~won
-        grow_b &= i + 1 - count < need
+        m = len(row)
+        q = _posterior_given_history(theta, ll[0], ll[1])
+        # one order: the scalar ability skips a gather and an array divide
+        a = abilities[0, i] if orders == 1 else abilities[row, i]
+        _, p_a, p_b = _juror_step(a, q, tie_break)
+        c = np.empty((2, 2 * m))
+        c[0, :m] = p_a
+        c[1, :m] = p_b
+        np.subtract(1.0, c[:, :m], out=c[:, m:])
+        child = split(w, c)
+        votes = np.concatenate((votes + 1, votes))
+        if i + 1 >= need:  # no earlier juror can complete a majority
+            done = np.flatnonzero(votes[:m] == need)
+            rows = row[done]
+            won_a += np.bincount(rows, child[0][done], orders)
+            won_b += np.bincount(rows, child[1][done], orders)
+        # undecided children that hold weight in some state
+        keep = np.flatnonzero((child[0] + child[1] > 0.0) & (votes < need)
+                              & (votes > i + 1 - need))
+        parent = keep % m
+        w = child.take(keep, axis=1)
+        c = c.take(keep, axis=1)
         with np.errstate(divide="ignore"):
-            up_a, up_b = ll_a + np.log(p_a), ll_b + np.log(p_b)
-            down_a, down_b = ll_a + np.log(1.0 - p_a), ll_b + np.log(1.0 - p_b)
-        won_a += np.bincount(order[won], np.exp(up_a[won]), orders)
-        won_b += np.bincount(order[won], np.exp(up_b[won]), orders)
-        ll_a = np.concatenate((up_a[grow_a], down_a[grow_b]))
-        ll_b = np.concatenate((up_b[grow_a], down_b[grow_b]))
-        order = np.concatenate((order[grow_a], order[grow_b]))
-        count = np.concatenate((count[grow_a] + 1, count[grow_b]))
+            np.log(c, out=c)
+        ll = np.add(c, ll.take(parent, axis=1), out=c)
+        votes = votes[keep]
+        row = row[parent]
+        del child, keep, parent  # freed before the next level allocates its own
     return won_a, won_b
+
+
+def _mean_split(w, c):
+    """The exact walk's split: each weight times P(vote)."""
+    return (c.reshape(2, 2, -1) * w[:, None]).reshape(2, -1)
 
 
 def _exact_majority_a(config: JuryConfig) -> tuple[float, float]:
     """P(majority votes A | state A) and P(majority votes A | state B)."""
+    one = np.ones(1)
     won_a, won_b = _level_walk(np.array([config.abilities]), config.prior.theta,
-                               config.tie_break)
+                               config.tie_break, one, one, _mean_split)
     return float(won_a[0]), float(won_b[0])
 
 
 def _verdict_accuracy(abilities: np.ndarray, prior: Prior,
                       tie_break: TieBreak) -> np.ndarray:
     """Exact P(majority verdict is correct) for each row of ``abilities``."""
-    won_a, won_b = _level_walk(abilities, prior.theta, tie_break)
+    one = np.ones(len(abilities))
+    won_a, won_b = _level_walk(abilities, prior.theta, tie_break, one, one, _mean_split)
     p = prior.theta * won_a + (1.0 - prior.theta) * (1.0 - won_b)
     return np.clip(p, 0.0, 1.0)
 
@@ -386,17 +410,14 @@ def exact_verdict_probability(config: JuryConfig) -> VerdictStats:
     """Exact probability that the majority verdict matches the state.
 
     Averages the two conditional majority probabilities with prior
-    weights theta and 1 - theta.  The vote-history tree is walked one
-    juror at a time in numpy (``_level_walk``).  Each level costs a few
-    dozen array calls plus work in proportion to the prefixes it visits,
-    so run time follows the nodes visited once a tree holds more than a
-    few thousand, and peak memory follows the widest level, at about
-    160 bytes per prefix.  With every ability 0.5 at n = 25 the walk
-    visits 20.8M prefixes (10.4M of them undecided, the widest level
-    2.7M) in about 1.7 s at 0.5 GiB peak RSS; the depth-first Python
-    recursion it replaced took about 135 s.  A near-flat n = 13 jury
-    (6.9k prefixes) drops from about 45 ms to about 1.5 ms (2-CPU x86
-    host, numpy 2.4).  n stays capped at ``EXACT_SIZE_LIMIT``.
+    weights theta and 1 - theta, from ``_level_walk`` with unit root
+    weights split by each vote's probability.  Each level costs a few
+    dozen array calls plus work in proportion to its histories, and peak
+    memory follows the widest level: with every ability 0.5 at n = 25
+    the walk visits 20.8M histories (the widest level 2.7M) in about
+    2.2 s at 0.65 GiB peak RSS, and a near-flat n = 13 jury (6.9k
+    histories) takes about 2 ms (2-CPU x86 host, numpy 2.4).  n stays
+    capped at ``EXACT_SIZE_LIMIT``.
     """
     n = _require_odd(config)
     if n > EXACT_SIZE_LIMIT:
@@ -411,31 +432,16 @@ def exact_verdict_probability(config: JuryConfig) -> VerdictStats:
 def _simulate_chunk(config: JuryConfig, size: int, seed_seq, fixed_state=None) -> int:
     """Simulate ``size`` juries and return how many verdicts were correct.
 
-    Once the vote history and the state are fixed, a juror's vote is a
-    Bernoulli draw with P(vote A) = 1 - F_state(s*), the probability
-    ``_juror_step`` returns, independently across trials.  So the chunk
-    carries counts, not trials: for each occupied history of the current
-    level its log-likelihoods under A and B, its votes for A, and how
-    many trials sit there in state A (``cnt_a``) and in state B
-    (``cnt_b``).  A plain chunk draws its state-A count from
+    ``_level_walk`` with counts of trials as the weights: the trials at
+    a history vote independently, so a binomial draw splits each count
+    between the children.  A plain chunk draws its state-A count from
     Binomial(size, theta); a stratified one puts every trial in
-    ``fixed_state``.
-
-    Each juror costs, per occupied history, the posterior, one
-    ``_juror_step`` and two binomial draws that split each count into A
-    and B voters.  Children are laid out A children first, then B
-    children, as in ``_level_walk``.  A child whose side has reached a
-    majority is retired: its state-A trials (A majority) or state-B
-    trials (B majority) are added to the hits.  Unoccupied children are
-    dropped.  Nothing is done per trial, so the cost follows the occupied
-    histories alone.  In a 16,384-trial chunk the ``mc-sim`` juries
-    (seed 7) occupy at most 2 histories per level at n = 3, 7 at n = 7,
-    about 300 at n = 25 and 2,200 at n = 101.
-    One 16,384-trial chunk of a random jury takes about 0.4 ms at n = 3,
-    1.1 ms at n = 7, 2.3 ms at n = 25 and 18-22 ms at n = 101, against
-    1.8, 4.1, 8.5 and 45 ms when every trial drew its own signal (median
-    of 21, 2-CPU x86 host, numpy 2.4).  The binomial draws dominate at
-    n = 101.
+    ``fixed_state``.  Every trial ends in a majority, so the hits are the
+    state-A trials that reach an A majority plus the state-B trials that
+    do not.  Nothing is done per trial.  In a 16,384-trial chunk the
+    ``mc-sim`` juries (seed 7) occupy at most 2 histories per level at
+    n = 3, about 300 at n = 25 and 2,200 at n = 101, where the binomial
+    draws dominate.
     """
     rng = np.random.default_rng(seed_seq)
     theta = config.prior.theta
@@ -443,31 +449,19 @@ def _simulate_chunk(config: JuryConfig, size: int, seed_seq, fixed_state=None) -
         n_a = rng.binomial(size, theta)
     else:
         n_a = size if fixed_state is StateOfNature.A else 0
-    need = len(config.abilities) // 2 + 1
-    cnt_a = np.array([n_a], dtype=np.int64)
-    cnt_b = np.array([size - n_a], dtype=np.int64)
-    ll_a = np.zeros(1)
-    ll_b = np.zeros(1)
-    votes_a = np.zeros(1, dtype=np.int64)
-    hits = 0
-    for i, a in enumerate(config.abilities):
-        q = _posterior_given_history(theta, ll_a, ll_b)
-        _, p_a, p_b = _juror_step(a, q, config.tie_break)
-        up_a = rng.binomial(cnt_a, p_a)
-        up_b = rng.binomial(cnt_b, p_b)
-        cnt_a = np.concatenate((up_a, cnt_a - up_a))
-        cnt_b = np.concatenate((up_b, cnt_b - up_b))
-        votes_a = np.concatenate((votes_a + 1, votes_a))
-        won_a = votes_a == need
-        won_b = i + 1 - votes_a == need
-        hits += int(cnt_a[won_a].sum()) + int(cnt_b[won_b].sum())
-        keep = np.flatnonzero(~(won_a | won_b) & (cnt_a + cnt_b > 0))
-        parent = keep % len(ll_a)
-        with np.errstate(divide="ignore"):
-            ll_a = ll_a[parent] + np.log(np.concatenate((p_a, 1.0 - p_a))[keep])
-            ll_b = ll_b[parent] + np.log(np.concatenate((p_b, 1.0 - p_b))[keep])
-        cnt_a, cnt_b, votes_a = cnt_a[keep], cnt_b[keep], votes_a[keep]
-    return hits
+    n_b = size - n_a
+    live = slice(0 if n_a else 1, 2 if n_b else 1)
+
+    def split(w, c):
+        # an empty state is not drawn (rng.binomial(0, p) takes nothing
+        # from the stream, only time); a strided p costs binomial ~15 us
+        up = np.zeros_like(w)
+        up[live] = rng.binomial(w[live], np.ascontiguousarray(c[live, :w.shape[1]]))
+        return np.concatenate((up, w - up), axis=1)
+
+    won_a, won_b = _level_walk(np.array([config.abilities]), theta, config.tie_break,
+                               np.array([n_a]), np.array([n_b]), split)
+    return int(won_a[0]) + n_b - int(won_b[0])
 
 
 def _worker_cap(n_chunks: int) -> int:
@@ -507,12 +501,10 @@ def monte_carlo_verdict(config: JuryConfig, *, conditional: bool = False) -> Ver
     both modes share one estimator: p = sum of w * p_s and
     var = sum of w**2 * p_s * (1 - p_s) / n_s over the strata.
 
-    Each chunk (``_simulate_chunk``) works per occupied vote history,
-    with no per-trial work: a posterior, a cutoff and two binomial draws
-    per history and juror.  With no per-trial work left, a two-thread
-    pool over the chunks measured slower than one thread: a median call
-    over the 16 ``mc-sim`` juries (seed 61) took 37 ms against 25 ms
-    (2-CPU x86 host, numpy 2.4), so the chunks run serially.
+    Each chunk (``_simulate_chunk``) walks the exact walk's vote tree
+    with counts of trials split by a binomial draw in place of
+    probabilities split by its mean.  A two-thread pool over the chunks
+    measured slower than one thread, so the chunks run serially.
     """
     _require_odd(config)
     theta = config.prior.theta
@@ -557,13 +549,11 @@ def order_scan(abilities, prior: Prior,
 
     All n! orderings are evaluated (duplicates included when abilities
     repeat, so permutation symmetry is visible as a block of ties).
-    They share one level walk as the rows of an (n!, n) ability array,
-    so the frontier holds every order's undecided prefixes at once and
-    the array-call overhead is paid n times rather than n * n! times.
-    Each row equals ``exact_verdict_probability`` of its ordering bit
-    for bit.  The n = 7 scan takes about 30 ms, against about 2.8 s for
-    5040 separate depth-first recursions before (2-CPU x86 host, numpy
-    2.4).
+    They share one exact walk (``_level_walk``) as the rows of an (n!, n)
+    ability array, so the array-call overhead is paid n times rather
+    than n * n! times.  Each row equals ``exact_verdict_probability`` of
+    its ordering bit for bit.  The n = 7 scan takes about 48 ms (2-CPU
+    x86 host, numpy 2.4).
     """
     abilities = tuple(float(a) for a in abilities)
     n = len(abilities)

@@ -218,7 +218,7 @@ def posterior_from_signal(ability: float, t, prior: Prior):
     _check_prior(prior)
     a = _check_ability(ability)
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0):
+    if not np.all(np.abs(t) <= 1.0):
         raise DomainError("signal t must lie in [-1, 1]")
     like_a = prior.theta * (1.0 + a * t)
     like_b = (1.0 - prior.theta) * (1.0 - a * t)

@@ -285,6 +285,11 @@ class TestMissingParameters:
         (["order-scan"],
          "Error: missing required parameter: --abilities (or 'abilities' in --config)"),
         (["solve", "--theta", "0.3"], "Error: linear alpha needs --a (or 'a' in --config)"),
+        # an empty field is not skipped: it would silently shrink the jury
+        (["exact", "--abilities", "0.5,,0.6,0.7"],
+         "Error: --abilities must be comma-separated numbers, got '0.5,,0.6,0.7'"),
+        (["exact", "--abilities", ",0.5,"],
+         "Error: --abilities must be comma-separated numbers, got ',0.5,'"),
     ])
     def test_exits_one_with_the_error_line(self, args, line, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -322,6 +327,39 @@ class TestWrongTypedConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [line]
+
+
+class TestNaNInputs:
+    TABLE = [[-1.0, 0.5], [0.0, 0.6], [1.0, 0.9]]
+
+    def _refused(self, args, line, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
+
+    def test_posterior_signal(self, capsys):
+        self._refused(["posterior", "--a", "0.5", "--s", "nan"],
+                      "error: signal t must lie in [-1, 1]", capsys)
+
+    @pytest.mark.parametrize("column,line", [
+        (0, "error: knot abscissae must be strictly increasing"),
+        (1, "error: knot values must be strictly increasing"),
+    ], ids=["t", "alpha"])
+    def test_tabulated_alpha_knot(self, column, line, tmp_path, capsys):
+        points = [list(p) for p in self.TABLE]
+        points[1][column] = float("nan")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"kind": "table", "points": points}))
+        self._refused(["solve", "--config", str(path)], line, capsys)
+
+    def test_h_table_t(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text("t,H\n-1,0\nnan,0.5\n1,1\n")
+        self._refused(["verify", "--a", "0.8", "--h", str(path)],
+                      "error: tabulated t values must be strictly increasing", capsys)
 
 
 class TestEntryPoint:

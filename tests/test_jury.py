@@ -587,6 +587,56 @@ def extreme_priors(draw):
     return 1.0 - 10.0 ** draw(st.floats(-16.0, math.log10(0.5)))
 
 
+def log_mass_walk(abilities, theta, tie_break):
+    """The exact walk as it was before it shared its vote-tree walk with
+    Monte Carlo: each history carries only its log-likelihoods, and the
+    mass of a history that reaches an A majority is the exp of their sum.
+    Takes and returns arrays over rows of voting orders, as ``_level_walk``
+    does."""
+    orders, n = abilities.shape
+    need = n // 2 + 1
+    won_a = np.zeros(orders)
+    won_b = np.zeros(orders)
+    order = np.arange(orders)
+    count = np.zeros(orders, dtype=np.int64)
+    ll_a = np.zeros(orders)
+    ll_b = np.zeros(orders)
+    for i in range(n):
+        q = _posterior_given_history(theta, ll_a, ll_b)
+        _, p_a, p_b = _juror_step(abilities[order, i], q, tie_break)
+        grow_a = (p_a > 0.0) | (p_b > 0.0)
+        grow_b = (p_a < 1.0) | (p_b < 1.0)
+        won = grow_a & (count == need - 1)
+        grow_a &= ~won
+        grow_b &= i + 1 - count < need
+        with np.errstate(divide="ignore"):
+            up_a, up_b = ll_a + np.log(p_a), ll_b + np.log(p_b)
+            down_a, down_b = ll_a + np.log(1.0 - p_a), ll_b + np.log(1.0 - p_b)
+        won_a += np.bincount(order[won], np.exp(up_a[won]), orders)
+        won_b += np.bincount(order[won], np.exp(up_b[won]), orders)
+        ll_a = np.concatenate((up_a[grow_a], down_a[grow_b]))
+        ll_b = np.concatenate((up_b[grow_a], down_b[grow_b]))
+        order = np.concatenate((order[grow_a], order[grow_b]))
+        count = np.concatenate((count[grow_a] + 1, count[grow_b]))
+    return won_a, won_b
+
+
+@settings(max_examples=60, deadline=None)
+@given(abilities=st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15]).flatmap(
+           lambda n: st.lists(st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-310]),
+                                        st.floats(0.0, 1.0)),
+                              min_size=n, max_size=n)),
+       theta=st.one_of(st.just(0.5), extreme_priors()),
+       tie_break=st.sampled_from(list(TieBreak)))
+def test_exact_walk_matches_the_log_mass_walk(abilities, theta, tie_break):
+    # the walk multiplies each vote's probability into a history's mass
+    # where the reference sums logs, so the two agree to rounding only
+    config = make_config(abilities, theta=theta, tie_break=tie_break)
+    won_a, won_b = log_mass_walk(np.array([config.abilities]), theta, tie_break)
+    np.testing.assert_allclose(_exact_majority_a(config), (won_a[0], won_b[0]),
+                               rtol=0.0, atol=1e-15)
+
+
 @settings(max_examples=80, deadline=None)
 @given(abilities=st.sampled_from([1, 3, 5, 7, 9, 15, 101]).flatmap(
            lambda n: st.lists(st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-310]),
