@@ -268,6 +268,8 @@ class SolvedCdf:
         hs = np.array([p[1] for p in pts])
         if not np.all(np.diff(ts) > 0.0):
             raise DomainError("tabulated t values must be strictly increasing")
+        if not np.all(np.isfinite(hs)):
+            raise DomainError("tabulated H values must be finite")
         if abs(ts[0] + 1.0) > EQUALITY_TOL or abs(ts[-1] - 1.0) > EQUALITY_TOL:
             raise DomainError("tabulated H must cover t=-1 through t=+1")
 

@@ -46,9 +46,6 @@ ORDER_SCAN_LIMIT = 7
 #: Largest jury for which a full ThresholdTable is materialized.
 TABLE_SIZE_LIMIT = 15
 
-_CHUNK_TRIALS = 16384
-
-
 class TieBreak(enum.Enum):
     """What a juror does when the posterior is exactly 1/2 and the signal
     carries no information (zero ability)."""
@@ -81,8 +78,8 @@ class JuryConfig:
         if not isinstance(self.tie_break, TieBreak):
             raise DomainError(f"tie_break must be a TieBreak, got {self.tie_break!r}")
         trials = _integer(self.trials, "trials")
-        if trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials!r}")
+        if not 1 <= trials < 2**63:  # numpy draws counts as int64
+            raise DomainError(f"trials must lie in [1, 2**63), got {self.trials!r}")
         seed = _check_seed(self.seed)
         object.__setattr__(self, "abilities", abilities)
         object.__setattr__(self, "trials", trials)
@@ -338,7 +335,7 @@ def _level_walk(abilities: np.ndarray, theta: float, tie_break: TieBreak,
     state s, and ``split(w, c)`` returns the children's weights in that
     (2, 2m) layout: by the draw's mean for the exact walk
     (``_mean_split``), by a binomial draw of counts for Monte Carlo
-    (``_simulate_chunk``).  A children that reach a majority are banked
+    (``_simulate``).  A children that reach a majority are banked
     per order with ``np.bincount``; they, B children that reach a
     majority and children of zero weight leave the frontier.  Compaction
     is stable, so an order's results agree bit for bit alone or in a
@@ -429,27 +426,23 @@ def exact_verdict_probability(config: JuryConfig) -> VerdictStats:
                         stderr=0.0, trials_used=0)
 
 
-def _simulate_chunk(config: JuryConfig, size: int, seed_seq, fixed_state=None) -> int:
-    """Simulate ``size`` juries and return how many verdicts were correct.
+def _simulate(config: JuryConfig, n_a: int, n_b: int,
+              rng: np.random.Generator) -> tuple[int, int]:
+    """Walk ``n_a`` trials in state A and ``n_b`` in state B; return the
+    correct verdicts among each.
 
     ``_level_walk`` with counts of trials as the weights: the trials at
-    a history vote independently, so a binomial draw splits each count
-    between the children.  A plain chunk draws its state-A count from
-    Binomial(size, theta); a stratified one puts every trial in
-    ``fixed_state``.  Every trial ends in a majority, so the hits are the
-    state-A trials that reach an A majority plus the state-B trials that
-    do not.  Nothing is done per trial.  In a 16,384-trial chunk the
-    ``mc-sim`` juries (seed 7) occupy at most 2 histories per level at
-    n = 3, about 300 at n = 25 and 2,200 at n = 101, where the binomial
-    draws dominate.
+    a history vote independently, so a binomial draw from ``rng`` splits
+    each count between the children.  Every trial ends in a majority, so
+    the state-A hits are the trials that reach an A majority and the
+    state-B hits are the rest.  Nothing is done per trial, and the cost
+    is the binomial draws per occupied history, which grow far slower
+    than the trials: the ``mc-sim`` juries (seed 7) occupy at most 2
+    histories per level at n = 3, and at n = 101 at most 3.6k with 32,768
+    trials and 42k with 2**20 (97k for abilities 0.00 to 1.00, 123 MiB
+    peak RSS).  A kept history holds at least one trial, so the frontier
+    never exceeds ``n_a + n_b``.
     """
-    rng = np.random.default_rng(seed_seq)
-    theta = config.prior.theta
-    if fixed_state is None:
-        n_a = rng.binomial(size, theta)
-    else:
-        n_a = size if fixed_state is StateOfNature.A else 0
-    n_b = size - n_a
     live = slice(0 if n_a else 1, 2 if n_b else 1)
 
     def split(w, c):
@@ -459,16 +452,37 @@ def _simulate_chunk(config: JuryConfig, size: int, seed_seq, fixed_state=None) -
         up[live] = rng.binomial(w[live], np.ascontiguousarray(c[live, :w.shape[1]]))
         return np.concatenate((up, w - up), axis=1)
 
-    won_a, won_b = _level_walk(np.array([config.abilities]), theta, config.tie_break,
-                               np.array([n_a]), np.array([n_b]), split)
-    return int(won_a[0]) + n_b - int(won_b[0])
+    won_a, won_b = _level_walk(np.array([config.abilities]), config.prior.theta,
+                               config.tie_break, np.array([n_a]), np.array([n_b]), split)
+    return int(won_a[0]), n_b - int(won_b[0])
 
 
+#: Most trials one Monte Carlo walk carries, the bound on its frontier.
+_WALK_TRIALS = 2**20
+
+
+def _walk_shares(n_a: int, n_b: int) -> list[tuple[int, int]]:
+    """(state-A, state-B) trials of each walk: both counts split evenly
+    over the fewest walks of at most ``_WALK_TRIALS`` trials.  A's
+    remainder goes to the first walks and B's to the last, so a walk
+    takes two extra trials only when every walk takes one, and none
+    exceeds ``_WALK_TRIALS``."""
+    walks = -(-(n_a + n_b) // _WALK_TRIALS)
+    q_a, r_a = divmod(n_a, walks)
+    q_b, r_b = divmod(n_b, walks)
+    return [(q_a + (k < r_a), q_b + (k >= walks - r_b)) for k in range(walks)]
+
+
+# Only bench/ still uses this, to size the trace's signal arrays and, through
+# _chunk_sizes, the mc-sim calibration pool; Monte Carlo no longer chunks.
+_CHUNK_TRIALS = 16384
+
+
+# Only bench/ still calls this, to size the mc-sim calibration pool and
+# its jury.mc_workers metric; Monte Carlo runs no pool.
 def _worker_cap(n_chunks: int) -> int:
     """Worker count a thread pool over ``n_chunks`` chunks would use:
-    TAILBALANCE_THREADS, else min(8, CPUs).  Monte Carlo runs its chunks
-    in the calling thread; the ``mc-sim`` benchmark still sizes its
-    calibration pool from this."""
+    TAILBALANCE_THREADS, else min(8, CPUs)."""
     env = os.environ.get("TAILBALANCE_THREADS", "").strip()
     if env:
         try:
@@ -482,6 +496,7 @@ def _worker_cap(n_chunks: int) -> int:
     return max(1, min(cap, n_chunks))
 
 
+# Only bench/ still calls this, with _worker_cap, for the mc-sim pool size.
 def _chunk_sizes(total: int) -> list[int]:
     full, rest = divmod(total, _CHUNK_TRIALS)
     return [_CHUNK_TRIALS] * full + ([rest] if rest else [])
@@ -490,42 +505,53 @@ def _chunk_sizes(total: int) -> list[int]:
 def monte_carlo_verdict(config: JuryConfig, *, conditional: bool = False) -> VerdictStats:
     """Monte Carlo estimate of the correct-verdict probability.
 
-    Trials run in fixed-size chunks, in order in the calling thread, each
-    with its own generator spawned deterministically from the config
-    seed; the hits combine by integer addition.
-
-    ``conditional=True`` stratifies: trials are split between the two
-    states in proportion to the prior and each stratum is averaged with
-    its prior weight, which removes the variance of the state draw.  A
-    plain run is the single stratum of weight 1 whose state is drawn, so
-    both modes share one estimator: p = sum of w * p_s and
+    One generator, ``np.random.default_rng(config.seed)``, drives the
+    call.  A plain call draws its state-A count from Binomial(trials,
+    theta); ``conditional=True`` stratifies, fixing the state-A count at
+    the prior's share (at least 1 and at most trials - 1) and averaging
+    each stratum with its prior weight, which removes the variance of the
+    state draw.  A plain run is the single stratum of weight 1, so both
+    modes share one estimator: p = sum of w * p_s and
     var = sum of w**2 * p_s * (1 - p_s) / n_s over the strata.
 
-    Each chunk (``_simulate_chunk``) walks the exact walk's vote tree
-    with counts of trials split by a binomial draw in place of
-    probabilities split by its mean.  A two-thread pool over the chunks
-    measured slower than one thread, so the chunks run serially.
+    Both modes then walk the exact walk's vote tree once (``_simulate``)
+    with the two counts as root weights, split by binomial draws in place
+    of probabilities split by their mean; the walk returns the hits in
+    each state.  A walk's cost follows its occupied histories, which grow
+    far slower than its trials, so only a call above ``_WALK_TRIALS``
+    trials is split, into even shares walked in turn with the same
+    generator; that bounds a walk's memory.  In process on a shared
+    2-CPU x86 host (numpy 2.4.6, median of 5 per call) the ``mc-sim``
+    calls (seed 7) take 0.3-0.5 ms at n = 3 (850,000 trials), 0.5-1.1 ms
+    at n = 7 (400,000), 2.3-5.1 ms at n = 25 (120,000) and 15-41 ms at
+    n = 101 (32,768), against 14-24, 14-26, 28-34 and 39-64 ms when
+    every 16,384 trials walked the tree afresh.
     """
     _require_odd(config)
     theta = config.prior.theta
     trials = config.trials
+    rng = np.random.default_rng(config.seed)
     if conditional:
         if trials < 2:
             raise DomainError("conditional mode needs at least 2 trials")
         n_a = int(round(theta * trials))
         n_a = min(max(n_a, 1), trials - 1)
-        strata = [(StateOfNature.A, theta, n_a),
-                  (StateOfNature.B, 1.0 - theta, trials - n_a)]
     else:
-        strata = [(None, 1.0, trials)]
-    plan = [(state, size) for state, _, n_s in strata for size in _chunk_sizes(n_s)]
-    children = np.random.SeedSequence(config.seed).spawn(len(plan))
-    hits = [_simulate_chunk(config, size, child, fixed_state=state)
-            for (state, size), child in zip(plan, children)]
+        n_a = int(rng.binomial(trials, theta))
+    n_b = trials - n_a
+    hits_a = hits_b = 0
+    for share_a, share_b in _walk_shares(n_a, n_b):
+        h_a, h_b = _simulate(config, share_a, share_b, rng)
+        hits_a += h_a
+        hits_b += h_b
 
+    if conditional:
+        strata = [(theta, hits_a, n_a), (1.0 - theta, hits_b, n_b)]
+    else:
+        strata = [(1.0, hits_a + hits_b, trials)]
     p_hat = var = 0.0
-    for state, w, n_s in strata:
-        p_s = sum(h for (s, _), h in zip(plan, hits) if s is state) / n_s
+    for w, hits, n_s in strata:
+        p_s = hits / n_s
         p_hat += w * p_s
         var += w**2 * p_s * (1.0 - p_s) / n_s
     stderr = math.sqrt(var)

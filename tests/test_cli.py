@@ -329,6 +329,18 @@ class TestWrongTypedConfig:
         assert captured.err.splitlines() == [line]
 
 
+class TestOversizedTrials:
+    def test_exits_one_with_one_error_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--abilities", "0.5,0.6,0.7",
+                  "--trials", str(2**63)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: trials must lie in [1, 2**63), got 9223372036854775808"]
+
+
 class TestNaNInputs:
     TABLE = [[-1.0, 0.5], [0.0, 0.6], [1.0, 0.9]]
 
@@ -360,6 +372,12 @@ class TestNaNInputs:
         path.write_text("t,H\n-1,0\nnan,0.5\n1,1\n")
         self._refused(["verify", "--a", "0.8", "--h", str(path)],
                       "error: tabulated t values must be strictly increasing", capsys)
+
+    def test_h_table_h(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text("t,H\n-1,0\n0,nan\n1,1\n")
+        self._refused(["verify", "--a", "0.8", "--h", str(path), "--grid", "5"],
+                      "error: tabulated H values must be finite", capsys)
 
 
 class TestEntryPoint:

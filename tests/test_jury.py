@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -31,11 +32,14 @@ from tailbalance import (
     order_scan,
     vote_threshold,
 )
+from tailbalance import jury
 from tailbalance.jury import (
+    _WALK_TRIALS,
     _exact_majority_a,
     _juror_step,
     _posterior_given_history,
-    _simulate_chunk,
+    _simulate,
+    _walk_shares,
 )
 from tailbalance.signals import _quantile_A_on_support
 
@@ -71,6 +75,12 @@ class TestJuryConfig:
             make_config((0.5,), seed=-1)
         with pytest.raises(DomainError):
             JuryConfig.from_json({"abilities": [0.5], "tie_break": "coin_flip"})
+
+    def test_trials_must_fit_an_int64(self):
+        # numpy draws the trial counts as int64
+        assert make_config((0.5,), trials=2**63 - 1).trials == 2**63 - 1
+        with pytest.raises(DomainError, match=r"trials must lie in \[1, 2\*\*63\)"):
+            make_config((0.5,), trials=2**63)
 
     @pytest.mark.parametrize("fields", [
         {"abilities": [0.5], "theta": None},
@@ -286,39 +296,77 @@ class TestMonteCarlo:
         with pytest.raises(EvenJury):
             monte_carlo_verdict(make_config((0.5, 0.5), trials=100))
 
-    def test_uninformative_jury_hits_exactly_half_in_expectation(self):
-        config = make_config((0.0, 0.0, 0.0), trials=50_000, seed=13)
-        mc = monte_carlo_verdict(config)
-        assert abs(mc.p_correct - 0.5) <= 3.0 * mc.stderr
+    def test_uninformative_jury_hits_half_over_many_seeds(self):
+        # the verdict is a fair coin in both states, so z = (p_hat - 1/2) /
+        # stderr is close to standard normal; its mean over the seeds has
+        # sd 1/sqrt(k) and its sample variance sd sqrt(2/(k - 1))
+        k = 400
+        z = np.array([
+            (mc.p_correct - 0.5) / mc.stderr
+            for mc in (monte_carlo_verdict(make_config((0.0,) * 3, trials=50_000,
+                                                       seed=seed))
+                       for seed in range(k))
+        ])
+        assert abs(z.mean()) <= 4.0 / math.sqrt(k)
+        assert abs(z.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (k - 1))
+
+    @pytest.mark.parametrize("conditional", [False, True], ids=["plain", "conditional"])
+    def test_call_above_the_walk_bound_splits_evenly(self, conditional):
+        config = make_config((0.5, 0.9, 0.1), theta=0.7,
+                             trials=_WALK_TRIALS + 5, seed=23)
+        with mock.patch.object(jury, "_simulate", wraps=jury._simulate) as walk:
+            mc = monte_carlo_verdict(config, conditional=conditional)
+        shares = [call.args[1:3] for call in walk.call_args_list]
+        trials, theta = config.trials, config.prior.theta
+        if conditional:
+            n_a = round(theta * trials)
+        else:
+            n_a = int(np.random.default_rng(config.seed).binomial(trials, theta))
+        assert len(shares) == 2
+        assert sum(a for a, _ in shares) == n_a
+        assert sum(b for _, b in shares) == trials - n_a
+        assert max(a + b for a, b in shares) <= _WALK_TRIALS
+        p, se = exact_p_and_se(config, conditional)
+        assert abs(mc.p_correct - p) <= 5.0 * se
+
+    @pytest.mark.parametrize("theta, n_a", [(1e-300, 1), (1.0 - 1e-16, 999)])
+    def test_conditional_mode_at_extreme_priors(self, theta, n_a):
+        config = make_config((0.5, 0.9, 0.1), theta=theta, trials=1000, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with mock.patch.object(jury, "_simulate", wraps=jury._simulate) as walk:
+                mc = monte_carlo_verdict(config, conditional=True)
+        assert [call.args[1:3] for call in walk.call_args_list] == [(n_a, 1000 - n_a)]
+        assert 0.0 <= mc.p_correct <= 1.0
+        assert math.isfinite(mc.stderr)
 
     # (abilities, theta, tie rule, conditional, seed) -> p_correct, pinned
-    # from the draws of the kernel that splits each vote history's counts
-    # with binomial draws
+    # from one generator per call that walks the vote tree once
     PINNED = [
-        ((0.0, 0.7, 0.4), 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, False, 11, 0.6713),
-        ((0.0, 0.7, 0.4), 0.5, TieBreak.VOTE_A, False, 12, 0.6753),
-        ((0.0, 0.7, 0.4), 0.5, TieBreak.VOTE_B, True, 13, 0.6757),
-        ((0.0,) * 5, 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, False, 14, 0.50605),
+        ((0.0, 0.7, 0.4), 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, False, 11, 0.67115),
+        ((0.0, 0.7, 0.4), 0.5, TieBreak.VOTE_A, False, 12, 0.66995),
+        ((0.0, 0.7, 0.4), 0.5, TieBreak.VOTE_B, True, 13, 0.6793),
+        ((0.0,) * 5, 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, False, 14, 0.4997),
         ((0.0,) * 3, 0.5, TieBreak.VOTE_A, True, 15, 0.5),
         ((1.0, 0.3, 0.6), 0.3, TieBreak.FOLLOW_SIGNAL_SIGN, True, 16,
-         0.7899999999999999),
+         0.7893999999999999),
         ((0.9, 0.2, 0.55, 0.35, 0.8, 0.1, 0.65, 0.45, 0.7), 0.7,
-         TieBreak.FOLLOW_SIGNAL_SIGN, False, 17, 0.8067),
+         TieBreak.FOLLOW_SIGNAL_SIGN, False, 17, 0.80645),
         (tuple(round(0.04 * k, 2) for k in range(25)), 0.4, TieBreak.VOTE_B, True,
-         18, 0.7436),
+         18, 0.7426999999999999),
         # n = 101, where the most vote histories are occupied
         (tuple(round(0.01 * k, 2) for k in range(101)), 0.6,
-         TieBreak.FOLLOW_SIGNAL_SIGN, False, 19, 0.78695),
-        ((0.0,) + (0.3,) * 100, 0.5, TieBreak.VOTE_A, True, 20, 0.6516),
+         TieBreak.FOLLOW_SIGNAL_SIGN, False, 19, 0.7873),
+        ((0.0,) + (0.3,) * 100, 0.5, TieBreak.VOTE_A, True, 20, 0.6516500000000001),
     ]
 
     #: stderr of each PINNED row, keyed by its seed
     PINNED_STDERR = {
-        11: 0.0033215682290147226, 12: 0.0033111169565571068,
-        13: 0.003302020214959321, 14: 0.0035352750776990465, 15: 0.0,
-        16: 0.0025525616218483997, 17: 0.0027922670896602998,
-        18: 0.0024776585048522457, 19: 0.0028953384733049776,
-        20: 0.003369029533856894,
+        11: 0.0033219548273569284, 12: 0.003325033815617519,
+        13: 0.0032935201532706612, 14: 0.003535533269536577, 15: 0.0,
+        16: 0.002566175378151028, 17: 0.0027936391812472846,
+        18: 0.0024859191794317586, 19: 0.002893602512440159,
+        20: 0.0033686648319475178,
     }
 
     @pytest.mark.parametrize("abilities,theta,tie_break,conditional,seed,expected",
@@ -519,12 +567,25 @@ def per_trial_chunk(config, size, seed_seq, fixed_state=None):
     return int(np.sum(majority_a == is_a))
 
 
+def history_chunk(config, size, seed_seq, fixed_state=None):
+    """Hits of ``size`` trials walked by ``_simulate``, with the state-A
+    count drawn from Binomial(size, theta), or every trial in
+    ``fixed_state``: the kernel called as ``per_trial_chunk`` is."""
+    rng = np.random.default_rng(seed_seq)
+    if fixed_state is None:
+        n_a = int(rng.binomial(size, config.prior.theta))
+    else:
+        n_a = size if fixed_state is StateOfNature.A else 0
+    hits_a, hits_b = _simulate(config, n_a, size - n_a, rng)
+    return hits_a + hits_b
+
+
 STATES = [None, StateOfNature.A, StateOfNature.B]
 
 
 def chunk_mean(kernel, config, fixed_state, chunks, size=16384, seed=0):
-    """Mean hit rate of ``chunks`` chunks whose seeds are spawned from
-    ``seed``, as ``monte_carlo_verdict`` spawns them."""
+    """Mean hit rate of ``chunks`` chunks of ``size`` trials, each seeded
+    by a child spawned from ``seed``."""
     children = np.random.SeedSequence(seed).spawn(chunks)
     hits = sum(kernel(config, size, child, fixed_state) for child in children)
     return hits / (chunks * size)
@@ -539,6 +600,22 @@ def exact_hit_rate(config, fixed_state):
         return 1.0 - won_b
     theta = config.prior.theta
     return theta * won_a + (1.0 - theta) * (1.0 - won_b)
+
+
+def exact_p_and_se(config, conditional):
+    """Exact P(correct verdict) and the standard error of a Monte Carlo
+    call on ``config``, both from the exact walk, so that the error bound
+    holds even where the estimate is 0 or 1."""
+    theta, trials = config.prior.theta, config.trials
+    won_a, won_b = _exact_majority_a(config)
+    p = theta * won_a + (1.0 - theta) * (1.0 - won_b)
+    if conditional:
+        n_a = min(max(round(theta * trials), 1), trials - 1)
+        var = (theta**2 * won_a * (1.0 - won_a) / n_a
+               + (1.0 - theta)**2 * won_b * (1.0 - won_b) / (trials - n_a))
+    else:
+        var = p * (1.0 - p) / trials
+    return p, math.sqrt(var)
 
 
 def zero_led_abilities(n):
@@ -558,8 +635,20 @@ def test_history_kernel_matches_the_exact_walk(n, tie_break, theta, fixed_state)
     config = make_config(zero_led_abilities(n), theta=theta, tie_break=tie_break)
     p = exact_hit_rate(config, fixed_state)
     trials = 64 * 16384
-    mean = chunk_mean(_simulate_chunk, config, fixed_state, chunks=64, seed=n)
+    mean = chunk_mean(history_chunk, config, fixed_state, chunks=64, seed=n)
     assert abs(mean - p) <= 5.0 * math.sqrt(p * (1.0 - p) / trials) + 1e-12
+
+
+@pytest.mark.parametrize("conditional", [False, True], ids=["plain", "conditional"])
+@pytest.mark.parametrize("theta", [0.5, 0.7])
+@pytest.mark.parametrize("tie_break", list(TieBreak))
+@pytest.mark.parametrize("n", [1, 3, 7, 15, 25])
+def test_one_walk_estimator_matches_the_exact_walk(n, tie_break, theta, conditional):
+    config = make_config(zero_led_abilities(n), theta=theta, tie_break=tie_break,
+                         trials=_WALK_TRIALS, seed=n)
+    p, se = exact_p_and_se(config, conditional)
+    mc = monte_carlo_verdict(config, conditional=conditional)
+    assert abs(mc.p_correct - p) <= 5.0 * se + 1e-12
 
 
 @pytest.mark.parametrize("fixed_state", STATES)
@@ -572,11 +661,24 @@ def test_history_kernel_matches_the_per_trial_kernel_at_101(abilities, theta, ti
     # beyond the exact walk's cap: the per-trial kernel is the reference
     config = make_config(abilities, theta=theta, tie_break=tie_break)
     chunks = 8
-    by_counts = chunk_mean(_simulate_chunk, config, fixed_state, chunks, seed=1)
+    by_counts = chunk_mean(history_chunk, config, fixed_state, chunks, seed=1)
     by_trials = chunk_mean(per_trial_chunk, config, fixed_state, chunks, seed=2)
     pooled = (by_counts + by_trials) / 2.0
     se = math.sqrt(2.0 * pooled * (1.0 - pooled) / (chunks * 16384))
     assert abs(by_counts - by_trials) <= 5.0 * se
+
+
+@pytest.mark.parametrize("n_a, n_b", [
+    (3, 2**21 - 3), (2**21 - 3, 3), (1, 0), (0, 1), (5, _WALK_TRIALS),
+    (2**22 + 1, 2**22 - 1), (_WALK_TRIALS, _WALK_TRIALS + 1),
+])
+def test_walk_shares_are_even_and_bounded(n_a, n_b):
+    shares = _walk_shares(n_a, n_b)
+    assert len(shares) == -(-(n_a + n_b) // _WALK_TRIALS)
+    ups, downs = zip(*shares)
+    assert (sum(ups), sum(downs)) == (n_a, n_b)
+    assert max(ups) - min(ups) <= 1 and max(downs) - min(downs) <= 1
+    assert max(a + b for a, b in shares) <= _WALK_TRIALS
 
 
 @st.composite
@@ -651,7 +753,7 @@ def test_history_kernel_returns_a_count_at_any_accepted_input(
         abilities, theta, tie_break, fixed_state, size, seed):
     # rng.binomial raises on a probability outside [0, 1] or NaN
     config = make_config(abilities, theta=theta, tie_break=tie_break)
-    hits = _simulate_chunk(config, size, np.random.SeedSequence(seed), fixed_state)
+    hits = history_chunk(config, size, np.random.SeedSequence(seed), fixed_state)
     assert 0 <= hits <= size
 
 
@@ -666,5 +768,5 @@ def test_uninformed_jury_in_a_fixed_state_hits_exactly(n, tie_break, theta, fixe
     p = exact_hit_rate(config, fixed_state)
     assert p in (0.0, 1.0)
     for size in (1, 7, 16384):
-        hits = _simulate_chunk(config, size, np.random.SeedSequence(n), fixed_state)
+        hits = history_chunk(config, size, np.random.SeedSequence(n), fixed_state)
         assert hits == p * size
