@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .signals import Prior, _check_ability
+from .signals import Prior, _check_ability, _number
 
 #: Absolute tolerance for pointwise equality of two evaluated functions.
 EQUALITY_TOL = 1e-12
@@ -119,40 +119,46 @@ class Affine(AlphaSpec):
         }
 
 
+def _knot_arrays(points, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The t and value columns of (t, value) knots, at least two, with t
+    strictly increasing from -1 to +1; ``name`` (alpha or H) names the
+    value in the errors."""
+    try:
+        pts = [(float(t), float(v)) for t, v in points]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"points must be (t, {name}) pairs: {exc}") from exc
+    if len(pts) < 2:
+        raise DomainError(f"a tabulated {name} needs at least two knots")
+    ts, vs = np.array(pts).T.copy()
+    if abs(ts[0] + 1.0) > EQUALITY_TOL or abs(ts[-1] - 1.0) > EQUALITY_TOL:
+        raise DomainError(f"tabulated {name} knots must start at t=-1 and end at t=+1")
+    if not np.all(np.diff(ts) > 0.0):
+        raise DomainError(f"tabulated {name} knot t values must be strictly increasing")
+    return ts, vs
+
+
 @dataclass(frozen=True)
 class Tabulated(AlphaSpec):
     """Piecewise-linear alpha through strictly increasing knots.
 
-    Knots must start at t = -1 and end at t = +1 so the function covers
-    the whole support without extrapolation.
+    Knots span t = -1 to +1 (``_knot_arrays``), so the function covers
+    the whole support without extrapolation; values lie in (0, 1].
     """
 
     points: tuple[tuple[float, float], ...]
+    _knots: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        try:
-            pts = tuple((float(t), float(v)) for t, v in self.points)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"points must be (t, alpha) pairs: {exc}") from exc
-        if len(pts) < 2:
-            raise DomainError("a tabulated alpha needs at least two knots")
-        ts = np.array([p[0] for p in pts])
-        vs = np.array([p[1] for p in pts])
-        if abs(ts[0] + 1.0) > EQUALITY_TOL or abs(ts[-1] - 1.0) > EQUALITY_TOL:
-            raise DomainError("knots must start at t=-1 and end at t=+1")
-        if not np.all(np.diff(ts) > 0.0):
-            raise DomainError("knot abscissae must be strictly increasing")
+        ts, vs = _knot_arrays(self.points, "alpha")
         if not np.all(np.diff(vs) > 0.0):
             raise DomainError("knot values must be strictly increasing")
         if vs[0] <= 0.0 or vs[0] >= 1.0 or vs[-1] > 1.0 + EQUALITY_TOL:
             raise DomainError("knot values must lie in (0, 1]")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", tuple(zip(ts.tolist(), vs.tolist())))
+        object.__setattr__(self, "_knots", (ts, vs))
 
     def __call__(self, t):
-        ts = np.array([p[0] for p in self.points])
-        vs = np.array([p[1] for p in self.points])
-        t = np.asarray(t, dtype=float)
-        out = np.interp(t, ts, vs)
+        out = np.interp(np.asarray(t, dtype=float), *self._knots)
         return out if out.ndim else float(out)
 
     def to_json(self) -> dict:
@@ -165,20 +171,26 @@ def alpha_from_json(obj: dict | str) -> AlphaSpec:
         obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise DomainError(f"alpha spec must be a JSON object, got {type(obj).__name__}")
+
+    def required(name: str):
+        if name not in obj:
+            raise DomainError(f"alpha spec is missing the {name!r} field")
+        return obj[name]
+
     kind = obj.get("kind")
     if kind == "linear":
-        return LinearAbility(theta=obj["theta"], a=obj["a"])
+        return LinearAbility(theta=required("theta"), a=required("a"))
     if kind == "affine":
-        spec = Affine(intercept=obj["intercept"], slope=obj["slope"])
+        spec = Affine(intercept=required("intercept"), slope=required("slope"))
         declared = obj.get("theta")
-        if declared is not None and abs(spec.intercept - spec.slope - float(declared)) > BOUNDARY_TOL:
+        if declared is not None and abs(spec.intercept - spec.slope - _number(declared, "theta")) > BOUNDARY_TOL:
             raise DomainError(
                 f"declared theta {declared!r} disagrees with alpha(-1) = "
                 f"{spec.intercept - spec.slope!r}"
             )
         return spec
     if kind == "table":
-        return Tabulated(points=obj["points"])
+        return Tabulated(points=required("points"))
     raise DomainError(f"unknown alpha kind {kind!r}")
 
 
@@ -260,18 +272,11 @@ class SolvedCdf:
 
     @staticmethod
     def from_table(points: Sequence[tuple[float, float]]) -> "SolvedCdf":
-        """Wrap tabulated (t, H) pairs as a piecewise-linear evaluator."""
-        pts = tuple((float(t), float(h)) for t, h in points)
-        if len(pts) < 2:
-            raise DomainError("a tabulated H needs at least two points")
-        ts = np.array([p[0] for p in pts])
-        hs = np.array([p[1] for p in pts])
-        if not np.all(np.diff(ts) > 0.0):
-            raise DomainError("tabulated t values must be strictly increasing")
+        """Wrap tabulated (t, H) knots (``_knot_arrays``; the H values
+        need only be finite) as a piecewise-linear evaluator."""
+        ts, hs = _knot_arrays(points, "H")
         if not np.all(np.isfinite(hs)):
             raise DomainError("tabulated H values must be finite")
-        if abs(ts[0] + 1.0) > EQUALITY_TOL or abs(ts[-1] - 1.0) > EQUALITY_TOL:
-            raise DomainError("tabulated H must cover t=-1 through t=+1")
 
         def evaluator(t, _ts=ts, _hs=hs):
             return np.interp(np.asarray(t, dtype=float), _ts, _hs)

@@ -35,6 +35,7 @@ from .signals import (
     _check_prior,
     _check_seed,
     _integer,
+    _number,
 )
 
 #: Largest jury the exact enumeration will attempt.
@@ -145,10 +146,7 @@ class CondorcetModel:
     n: int
 
     def __post_init__(self) -> None:
-        try:
-            p = float(self.p)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"p must be a number, got {self.p!r}") from None
+        p = _number(self.p, "p")
         n = _integer(self.n, "n")
         if not 0.5 < p <= 1.0:
             raise DomainError(f"p must lie in (1/2, 1], got {self.p!r}")
@@ -581,18 +579,16 @@ def order_scan(abilities, prior: Prior,
     its ordering bit for bit.  The n = 7 scan takes about 48 ms (2-CPU
     x86 host, numpy 2.4).
     """
-    abilities = tuple(float(a) for a in abilities)
-    n = len(abilities)
+    # validates the abilities, prior and tie rule as a single walk would
+    config = JuryConfig(abilities=abilities, prior=prior, tie_break=tie_break)
+    n = len(config.abilities)
     if n > ORDER_SCAN_LIMIT:
         raise SizeLimit(
             f"order_scan is capped at n={ORDER_SCAN_LIMIT} (factorial growth), got n={n}"
         )
-    if n % 2 == 0:
-        raise EvenJury(f"majority verdicts need an odd jury, got n={n}")
+    _require_odd(config)
     if n < 3:
         raise DomainError(f"order_scan needs at least 3 jurors, got n={n}")
-    # validates the abilities, prior and tie rule as a single walk would
-    config = JuryConfig(abilities=abilities, prior=prior, tie_break=tie_break)
     perms = list(permutations(config.abilities))
     p = _verdict_accuracy(np.array(perms), prior, tie_break)
     scored = list(zip(perms, p.tolist()))

@@ -50,10 +50,7 @@ class Prior:
     odds_lambda: float = field(init=False)
 
     def __post_init__(self) -> None:
-        try:
-            theta = float(self.theta)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"theta must be a number, got {self.theta!r}") from None
+        theta = _number(self.theta, "theta")
         if not 0.0 < theta < 1.0:
             raise DomainError(f"theta must lie strictly in (0, 1), got {self.theta!r}")
         odds_lambda = (1.0 - theta) / theta
@@ -69,10 +66,7 @@ class Prior:
 def _check_ability(ability: float) -> float:
     """``ability`` as a float; raises DomainError for a non-number or a
     value outside [0, 1] (NaN included)."""
-    try:
-        a = float(ability)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"ability must be a number, got {ability!r}") from None
+    a = _number(ability, "ability")
     if not 0.0 <= a <= 1.0:
         raise DomainError(f"ability must lie in [0, 1], got {ability!r}")
     return a
@@ -82,6 +76,13 @@ def _check_prior(prior: Prior) -> Prior:
     if not isinstance(prior, Prior):
         raise DomainError(f"prior must be a Prior, got {prior!r}")
     return prior
+
+
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
 
 
 def _integer(value, name: str) -> int:

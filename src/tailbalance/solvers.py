@@ -43,7 +43,7 @@ from .errors import (
     InvalidBoundary,
     SingularCoefficients,
 )
-from .signals import Prior, _check_ability, _check_prior, cdf_given_A
+from .signals import Prior, _cdf_A_on_support, _check_ability, _check_prior, _integer, _number
 
 DEFAULT_GRID = 1001
 
@@ -63,7 +63,7 @@ def _vec(core):
 
 def _uniform_solution(provenance: Provenance, alpha: AlphaSpec, prior: Prior,
                       grid_size: int) -> SolvedCdf:
-    evaluator = _vec(lambda t: (t + 1.0) / 2.0)
+    evaluator = _vec(lambda t: (np.clip(t, -1.0, 1.0) + 1.0) / 2.0)
     return _finish(evaluator, provenance, alpha, prior, grid_size)
 
 
@@ -80,12 +80,10 @@ def _finish(evaluator, provenance: Provenance, alpha: AlphaSpec, prior: Prior,
     )
 
 
-def _check_grid_size(grid_size: int, minimum: int = 3) -> int:
-    n = int(grid_size)
-    if n < minimum or n % 2 == 0:
-        raise DomainError(
-            f"grid_size must be an odd integer >= {minimum}, got {grid_size!r}"
-        )
+def _check_grid_size(grid_size: int) -> int:
+    n = _integer(grid_size, "grid_size")
+    if n < 3 or n % 2 == 0:
+        raise DomainError(f"grid_size must be an odd integer >= 3, got {grid_size!r}")
     return n
 
 
@@ -113,15 +111,13 @@ def solve_balanced(alpha: AlphaSpec, *, allow_uniform_limit: bool = False,
 def closed_form_linear(a: float, *, grid_size: int = DEFAULT_GRID) -> SolvedCdf:
     """The balanced solution for the linear ability family, in closed form.
 
-    H(t) = (t + 1) * (a*t - a + 2) / 4, which is exactly the state-A
-    signal CDF at ability ``a``; zero ability gives the uniform CDF with
-    no error (the closed form has no division to degenerate).
+    H(t) = (t + 1) * (a*t - a + 2) / 4, exactly the state-A signal CDF
+    at ability ``a``: ``closed_form_linear_odds`` at theta = 1/2, where
+    its factor a / D(t) is exactly 1.  Zero ability gives the uniform
+    CDF with no error.
     """
-    a = _check_ability(a)
-    evaluator = _vec(lambda t: np.asarray(cdf_given_A(a, t), dtype=float))
-    return _finish(evaluator, Provenance.CLOSED_FORM_LINEAR,
-                   LinearAbility(0.5, a), _BALANCED_PRIOR,
-                   _check_grid_size(grid_size))
+    return closed_form_linear_odds(a, _BALANCED_PRIOR, allow_uniform_limit=True,
+                                   grid_size=grid_size)
 
 
 def solve_affine_pair(coeffs: CoefficientPair, *,
@@ -238,11 +234,12 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
 
     H(t) = (1 + t) * (a*t - a + 2) * (a/4) / D(t)
 
-    with D(t) = a + (lambda - 1) * (a**2 / 4) * (1 - t**2).  D is
+    with D(t) = a + (lambda - 1) * (a**2 / 4) * (1 - t**2), evaluated as
+    the state-A signal CDF (0 and 1 off [-1, +1]) times a / D(t).  D is
     positive for every a in (0, 1] and lambda > 0 (its minimum over t is
     a * (1 - a/4) when lambda < 1), so the only degeneracy is a = 0,
-    where numerator and denominator vanish together; the limit there is
-    the uniform CDF, returned only on explicit request.
+    where a / D is 0/0; the limit there is the uniform CDF, returned
+    only on explicit request.
     """
     _check_prior(prior)
     a = _check_ability(a)
@@ -250,8 +247,7 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
     alpha = LinearAbility(prior.theta, a)
     if a == 0.0:
         if allow_uniform_limit:
-            return _uniform_solution(Provenance.CLOSED_FORM_LINEAR, alpha,
-                                     prior, n)
+            return _uniform_solution(Provenance.CLOSED_FORM_LINEAR, alpha, prior, n)
         raise DegenerateAbility(
             "the linear-odds closed form is 0/0 at ability 0; "
             "pass allow_uniform_limit=True for the uniform-CDF limit"
@@ -259,9 +255,9 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
     lam = prior.odds_lambda
 
     def core(t):
-        num = (1.0 + t) * (a * t - a + 2.0) * (a / 4.0)
+        t = np.clip(t, -1.0, 1.0)
         den = a + (lam - 1.0) * (a * a / 4.0) * (1.0 - t * t)
-        return num / den
+        return _cdf_A_on_support(a, t) * (a / den)
 
     return _finish(_vec(core), Provenance.CLOSED_FORM_LINEAR, alpha, prior, n)
 
@@ -325,6 +321,17 @@ class ResidualReport:
     argmax_t: float
 
 
+def _tail_ratio(h, t: np.ndarray, lam: float):
+    """H(t), 1 - H(t), 1 - H(t) + lambda*H(-t) and their quotient, which
+    is inf or NaN where the denominator is 0, for the caller to resolve."""
+    h_pos = evaluate_on(h, t)
+    num = 1.0 - h_pos
+    den = num + lam * evaluate_on(h, -t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    return h_pos, num, den, ratio
+
+
 def residual_check(h, alpha: AlphaSpec, prior: Prior,
                    grid_size: int = DEFAULT_GRID) -> ResidualReport:
     """Measure how well ``h`` solves the tail-balance equation for ``alpha``.
@@ -338,15 +345,9 @@ def residual_check(h, alpha: AlphaSpec, prior: Prior,
     """
     n = _check_grid_size(grid_size)
     _check_prior(prior)
-    lam = prior.odds_lambda
     grid = np.linspace(-1.0, 1.0, n)
-    h_pos = evaluate_on(h, grid)
-    h_neg = evaluate_on(h, -grid)
+    h_pos, num, den, ratio = _tail_ratio(h, grid, prior.odds_lambda)
     a_vals = evaluate_on(alpha, grid)
-    num = 1.0 - h_pos
-    den = num + lam * h_neg
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / den
     ratio = np.where((den == 0.0) & (num == 0.0), 1.0, ratio)
     target = a_vals.copy()
     target[-1] = 1.0
@@ -371,21 +372,15 @@ def posterior_tail(h, t, prior: Prior):
     instead of inventing a number.
     """
     _check_prior(prior)
-    lam = prior.odds_lambda
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    h_pos = evaluate_on(h, t_arr)
-    h_neg = evaluate_on(h, -t_arr)
-    num = 1.0 - h_pos
-    den = num + lam * h_neg
+    _, _, den, ratio = _tail_ratio(h, t_arr, prior.odds_lambda)
     zero = den == 0.0
-    if np.any(zero & (t_arr < 1.0)):
-        where = float(t_arr[np.flatnonzero(zero & (t_arr < 1.0))[0]])
+    interior = np.flatnonzero(zero & (t_arr < 1.0))
+    if interior.size:
         raise Indeterminate(
-            f"both tails vanish at interior point t={where!r}; "
+            f"both tails vanish at interior point t={float(t_arr[interior[0]])!r}; "
             "the posterior ratio is 0/0 there"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / den
     ratio = np.where(zero, 1.0, ratio)
     if np.asarray(t, dtype=float).ndim == 0:
         return float(ratio[0])
@@ -399,11 +394,11 @@ def odds_limit_large_lambda(a: float, odds_lambda: float, t):
     an equivalent, not a CDF; it is kept separate from the solvers and
     exists to validate the large-odds regime numerically.
     """
-    a = float(a)
-    lam = float(odds_lambda)
-    if not 0.0 < a <= 1.0:
+    a = _check_ability(a)
+    if a == 0.0:
         raise DomainError(f"ability must lie in (0, 1], got {a!r}")
-    if lam <= 0.0:
+    lam = _number(odds_lambda, "odds_lambda")
+    if not lam > 0.0:
         raise DomainError(f"odds_lambda must be positive, got {odds_lambda!r}")
     t = np.asarray(t, dtype=float)
     out = 2.0 / (lam * a * (1.0 - t)) - 1.0 / lam
@@ -417,8 +412,8 @@ def odds_limit_small_lambda(a: float, t):
     (1 + t) * (a*t - a + 2) / (4 - a + a*t**2), a genuine CDF (state A
     is certain, so the solved distribution is conditioned on it).
     """
-    a = float(a)
-    if not 0.0 < a <= 1.0:
+    a = _check_ability(a)
+    if a == 0.0:
         raise DomainError(f"ability must lie in (0, 1], got {a!r}")
     t = np.asarray(t, dtype=float)
     out = (1.0 + t) * (a * t - a + 2.0) / (4.0 - a + a * t * t)

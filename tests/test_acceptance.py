@@ -119,10 +119,13 @@ def test_criterion_04_odds_solver_collapses_to_balanced_at_unit_lambda():
         via_balanced = solve_balanced(alpha, grid_size=1001)
         worst_general = max(worst_general, float(np.max(np.abs(
             via_odds(GRID_1001) - via_balanced(GRID_1001)))))
+        # closed_form_linear is closed_form_linear_odds at theta = 1/2, so
+        # the cross-check is the one-quotient form of the linear-odds
+        # closed form, (1 + t)(a*t - a + 2)(a/4) / D(t), where D(t) = a
         closed_odds = closed_form_linear_odds(a, HALF, grid_size=1001)
-        closed = closed_form_linear(a, grid_size=1001)
+        quotient = (1.0 + GRID_1001) * (a * GRID_1001 - a + 2.0) * (a / 4.0) / a
         worst_closed = max(worst_closed, float(np.max(np.abs(
-            closed_odds(GRID_1001) - closed(GRID_1001)))))
+            closed_odds(GRID_1001) - quotient))))
 
     prior4 = Prior(0.2)  # odds lambda = 4
     from_general = solve_odds(LinearAbility(0.2, 1.0), prior4)(0.0)

@@ -97,6 +97,9 @@ class TestTabulated:
         spec = Tabulated(points=((-1.0, 0.5), (-0.25, 0.62), (1.0, 0.95)))
         clone = alpha_from_json(spec.to_json())
         np.testing.assert_allclose(clone(GRID), spec(GRID), rtol=0.0, atol=0.0)
+        # the cached knot arrays take no part in equality or hashing
+        assert clone == spec
+        assert hash(clone) == hash(spec)
 
 
 class TestAlphaFromJson:
@@ -109,10 +112,24 @@ class TestAlphaFromJson:
         with pytest.raises(DomainError):
             alpha_from_json({"kind": "quadratic"})
 
+    @pytest.mark.parametrize("obj,name", [
+        ({"kind": "linear", "a": 0.5}, "theta"),
+        ({"kind": "linear", "theta": 0.5}, "a"),
+        ({"kind": "affine", "slope": 0.15}, "intercept"),
+        ({"kind": "affine", "intercept": 0.65}, "slope"),
+        ({"kind": "table"}, "points"),
+    ])
+    def test_names_a_missing_field(self, obj, name):
+        with pytest.raises(DomainError, match=f"missing the '{name}' field"):
+            alpha_from_json(obj)
+
     def test_rejects_inconsistent_declared_theta(self):
         with pytest.raises(DomainError):
             alpha_from_json({"kind": "affine", "intercept": 0.65,
                              "slope": 0.15, "theta": 0.9})
+        with pytest.raises(DomainError, match="theta must be a number, got 'x'"):
+            alpha_from_json({"kind": "affine", "intercept": 0.65,
+                             "slope": 0.15, "theta": "x"})
 
 
 class TestBetaFn:
@@ -176,6 +193,30 @@ class TestSolvedCdf:
         h = np.linspace(0.0, 1.0, 5)
         with pytest.raises(DomainError):
             SolvedCdf.from_table(np.column_stack([t, h]))
+
+    @pytest.mark.parametrize("points", [[("x", 0.5), (1.0, 1.0)],
+                                        [(0.0,), (1.0, 1.0)]])
+    def test_from_table_rejects_malformed_points(self, points):
+        with pytest.raises(DomainError, match=r"points must be \(t, H\) pairs"):
+            SolvedCdf.from_table(points)
+
+
+@pytest.mark.parametrize("points", [
+    5,
+    [(-1.0,), (1.0, 0.9)],
+    [(-1.0, "x"), (1.0, 0.9)],
+    [(-1.0, 0.5)],
+    [(-0.9, 0.5), (1.0, 0.9)],
+    [(-1.0, 0.5), (float("nan"), 0.6), (1.0, 0.9)],
+    [(-1.0, 0.5), (0.5, 0.6), (0.0, 0.7), (1.0, 0.9)],
+], ids=["not-pairs", "short-pair", "not-a-number", "one-knot", "short-support",
+        "nan-t", "decreasing-t"])
+def test_alpha_and_h_tables_share_each_knot_rule(points):
+    with pytest.raises(DomainError) as alpha_error:
+        Tabulated(points)
+    with pytest.raises(DomainError) as h_error:
+        SolvedCdf.from_table(points)
+    assert str(h_error.value) == str(alpha_error.value).replace("alpha", "H")
 
 
 def test_cdf_axioms_hold_accepts_valid_cdf():

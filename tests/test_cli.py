@@ -357,7 +357,7 @@ class TestNaNInputs:
                       "error: signal t must lie in [-1, 1]", capsys)
 
     @pytest.mark.parametrize("column,line", [
-        (0, "error: knot abscissae must be strictly increasing"),
+        (0, "error: tabulated alpha knot t values must be strictly increasing"),
         (1, "error: knot values must be strictly increasing"),
     ], ids=["t", "alpha"])
     def test_tabulated_alpha_knot(self, column, line, tmp_path, capsys):
@@ -371,7 +371,8 @@ class TestNaNInputs:
         path = tmp_path / "h.csv"
         path.write_text("t,H\n-1,0\nnan,0.5\n1,1\n")
         self._refused(["verify", "--a", "0.8", "--h", str(path)],
-                      "error: tabulated t values must be strictly increasing", capsys)
+                      "error: tabulated H knot t values must be strictly increasing",
+                      capsys)
 
     def test_h_table_h(self, tmp_path, capsys):
         path = tmp_path / "h.csv"

@@ -2,11 +2,12 @@ import itertools
 import math
 import os
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailbalance import (
@@ -421,6 +422,8 @@ class TestOrderScan:
             order_scan((0.5, 0.5, 0.5, 0.5), HALF)
         with pytest.raises(DomainError):
             order_scan((0.5,), HALF)
+        with pytest.raises(DomainError, match="ability must be a number, got 'x'"):
+            order_scan((0.5, "x", 0.7), HALF)
 
 
 class TestCondorcet:
@@ -689,38 +692,42 @@ def extreme_priors(draw):
     return 1.0 - 10.0 ** draw(st.floats(-16.0, math.log10(0.5)))
 
 
-def log_mass_walk(abilities, theta, tie_break):
-    """The exact walk as it was before it shared its vote-tree walk with
-    Monte Carlo: each history carries only its log-likelihoods, and the
-    mass of a history that reaches an A majority is the exp of their sum.
-    Takes and returns arrays over rows of voting orders, as ``_level_walk``
-    does."""
-    orders, n = abilities.shape
+def exact_mass_walk(abilities, theta, tie_break):
+    """P(majority votes A) in state A and in state B for one voting order,
+    summed exactly: each history's mass is the ``Fraction`` product of the
+    float vote probabilities the walk itself draws (its log-likelihoods,
+    posteriors and ``_juror_step`` calls are the walk's own), so only the
+    two returned sums are rounded."""
+    n = len(abilities)
     need = n // 2 + 1
-    won_a = np.zeros(orders)
-    won_b = np.zeros(orders)
-    order = np.arange(orders)
-    count = np.zeros(orders, dtype=np.int64)
-    ll_a = np.zeros(orders)
-    ll_b = np.zeros(orders)
+    fraction = np.frompyfunc(Fraction, 1, 1)
+    won_a = won_b = Fraction(0)
+    count = np.zeros(1, dtype=np.int64)
+    ll_a = np.zeros(1)
+    ll_b = np.zeros(1)
+    mass_a = np.array([Fraction(1)], dtype=object)
+    mass_b = np.array([Fraction(1)], dtype=object)
     for i in range(n):
         q = _posterior_given_history(theta, ll_a, ll_b)
-        _, p_a, p_b = _juror_step(abilities[order, i], q, tie_break)
+        _, p_a, p_b = _juror_step(abilities[i], q, tie_break)
         grow_a = (p_a > 0.0) | (p_b > 0.0)
         grow_b = (p_a < 1.0) | (p_b < 1.0)
         won = grow_a & (count == need - 1)
         grow_a &= ~won
         grow_b &= i + 1 - count < need
+        up_a, up_b = mass_a * fraction(p_a), mass_b * fraction(p_b)
+        down_a, down_b = mass_a * fraction(1.0 - p_a), mass_b * fraction(1.0 - p_b)
+        won_a += sum(up_a[won])
+        won_b += sum(up_b[won])
         with np.errstate(divide="ignore"):
-            up_a, up_b = ll_a + np.log(p_a), ll_b + np.log(p_b)
-            down_a, down_b = ll_a + np.log(1.0 - p_a), ll_b + np.log(1.0 - p_b)
-        won_a += np.bincount(order[won], np.exp(up_a[won]), orders)
-        won_b += np.bincount(order[won], np.exp(up_b[won]), orders)
-        ll_a = np.concatenate((up_a[grow_a], down_a[grow_b]))
-        ll_b = np.concatenate((up_b[grow_a], down_b[grow_b]))
-        order = np.concatenate((order[grow_a], order[grow_b]))
-        count = np.concatenate((count[grow_a] + 1, count[grow_b]))
-    return won_a, won_b
+            ll_a = np.concatenate((ll_a + np.log(p_a), ll_a + np.log(1.0 - p_a)))
+            ll_b = np.concatenate((ll_b + np.log(p_b), ll_b + np.log(1.0 - p_b)))
+        keep = np.concatenate((grow_a, grow_b))
+        ll_a, ll_b = ll_a[keep], ll_b[keep]
+        mass_a = np.concatenate((up_a, down_a))[keep]
+        mass_b = np.concatenate((up_b, down_b))[keep]
+        count = np.concatenate((count + 1, count))[keep]
+    return float(won_a), float(won_b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -730,12 +737,14 @@ def log_mass_walk(abilities, theta, tie_break):
                               min_size=n, max_size=n)),
        theta=st.one_of(st.just(0.5), extreme_priors()),
        tie_break=st.sampled_from(list(TieBreak)))
-def test_exact_walk_matches_the_log_mass_walk(abilities, theta, tie_break):
-    # the walk multiplies each vote's probability into a history's mass
-    # where the reference sums logs, so the two agree to rounding only
+@example(abilities=[0.0] * 10 + [0.5, 0.671875, 0.7738702922219873], theta=0.5,
+         tie_break=TieBreak.FOLLOW_SIGNAL_SIGN)
+def test_exact_walk_matches_the_exact_rational_sum(abilities, theta, tie_break):
+    # the walk rounds each product of vote probabilities and each sum of
+    # masses; the reference rounds only its two final sums
     config = make_config(abilities, theta=theta, tie_break=tie_break)
-    won_a, won_b = log_mass_walk(np.array([config.abilities]), theta, tie_break)
-    np.testing.assert_allclose(_exact_majority_a(config), (won_a[0], won_b[0]),
+    np.testing.assert_allclose(_exact_majority_a(config),
+                               exact_mass_walk(config.abilities, theta, tie_break),
                                rtol=0.0, atol=1e-15)
 
 

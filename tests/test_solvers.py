@@ -373,6 +373,67 @@ class TestOddsClosedForm:
         with pytest.raises(DomainError):
             odds_limit_small_lambda(1.5, 0.0)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: odds_limit_small_lambda("x", 0.0), "ability must be a number, got 'x'"),
+        (lambda: odds_limit_large_lambda("x", 10.0, 0.0),
+         "ability must be a number, got 'x'"),
+        (lambda: odds_limit_small_lambda(float("nan"), 0.0),
+         "ability must lie in [0, 1], got nan"),
+        (lambda: odds_limit_small_lambda(0.0, 0.0), "ability must lie in (0, 1], got 0.0"),
+        (lambda: odds_limit_large_lambda(0.5, "y", 0.0),
+         "odds_lambda must be a number, got 'y'"),
+        (lambda: odds_limit_large_lambda(0.5, float("nan"), 0.0),
+         "odds_lambda must be positive, got nan"),
+        (lambda: odds_limit_large_lambda(0.5, 0.0, 0.0),
+         "odds_lambda must be positive, got 0.0"),
+    ], ids=["small-text-a", "large-text-a", "nan-a", "zero-a", "text-lambda",
+            "nan-lambda", "zero-lambda"])
+    def test_limit_helpers_name_the_broken_rule(self, call, message):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def linear_odds_reference(a, odds_lambda, t):
+    """The linear-odds closed form as one quotient,
+    (1 + t) * (a*t - a + 2) * (a/4) / D(t); the solver evaluates it as
+    the signal CDF times a / D(t) instead."""
+    den = a + (odds_lambda - 1.0) * (a * a / 4.0) * (1.0 - t * t)
+    return (1.0 + t) * (a * t - a + 2.0) * (a / 4.0) / den
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.one_of(st.floats(1e-300, 1.0),
+                   st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e)),
+       theta=st.floats(1e-6, 1.0 - 1e-6))
+def test_linear_odds_closed_form_matches_the_one_quotient_form(a, theta):
+    # a stops at 1e-300: below ~1e-307 the quotient form's a/4 is
+    # subnormal and loses digits, which the solver's a / D(t) does not
+    prior = Prior(theta)
+    reference = linear_odds_reference(a, prior.odds_lambda, GRID_201)
+    got = closed_form_linear_odds(a, prior, grid_size=3)(GRID_201)
+    scale = np.where(reference == 0.0, 1.0, np.abs(reference))
+    assert np.max(np.abs(got - reference) / scale) <= 4e-16
+
+
+class TestOutsideTheSupport:
+    OUTSIDE = np.array([-np.inf, -2.0, -1.0000000000000002, 1.0000000000000002,
+                        2.0, np.inf])
+    EXPECTED = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+    def test_balanced_closed_form_continues_as_zero_and_one(self, a):
+        h = closed_form_linear(a)
+        np.testing.assert_array_equal(h(self.OUTSIDE), self.EXPECTED)
+        assert h(2.0) == 1.0
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("theta", [1e-6, 0.3, 0.9])
+    def test_odds_closed_form_continues_as_zero_and_one(self, a, theta):
+        h = closed_form_linear_odds(a, Prior(theta), allow_uniform_limit=True)
+        np.testing.assert_array_equal(h(self.OUTSIDE), self.EXPECTED)
+        assert h(-2.0) == 0.0
+
 
 class TestPosteriorTail:
     def test_prior_at_left_endpoint(self):
