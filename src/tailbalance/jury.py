@@ -29,8 +29,7 @@ from .errors import DomainError, EvenJury, SizeLimit, ZeroAbility
 from .signals import (
     Prior,
     StateOfNature,
-    _cdf_A_on_support,
-    _cdf_B_on_support,
+    _cdf_on_support,
     _check_ability,
     _check_prior,
     _check_seed,
@@ -164,7 +163,7 @@ def _posterior_given_history(theta: float, ll_a, ll_b):
     """Posterior P(state A | history) from accumulated log-likelihoods,
     elementwise over arrays of histories."""
     m = np.maximum(ll_a, ll_b)
-    if (m == -np.inf).any():
+    if m.size and m.min() == -np.inf:
         raise DomainError("history has probability zero under both states")
     w_a = theta * np.exp(ll_a - m)
     w_b = (1.0 - theta) * np.exp(ll_b - m)
@@ -174,18 +173,30 @@ def _posterior_given_history(theta: float, ll_a, ll_b):
 #: P(vote A) of a zero-ability juror at the q = 1/2 knife edge.
 _TIE_VOTE_A = {TieBreak.FOLLOW_SIGNAL_SIGN: 0.5, TieBreak.VOTE_A: 1.0, TieBreak.VOTE_B: 0.0}
 
+#: ``_cdf_on_support``'s sign for state A and for state B, as a column
+#: that spreads along the histories.
+_STATE_SIGN = np.array([[1.0], [-1.0]])
 
-def _cutoff(a, q) -> np.ndarray:
-    """Signal cutoff s* = clip((1 - 2q)/a, -1, 1), elementwise; 0 where a = 0."""
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    with np.errstate(over="ignore"):  # a subnormal ability sends s to +/-inf
-        s = np.divide(1.0 - 2.0 * q, a, out=np.zeros(np.broadcast(a, q).shape),
-                      where=a > 0.0)
+#: Smallest divisor of the cutoff.  q lies in [0, 1], so a nonzero
+#: 1 - 2q is at least 2**-54 in magnitude and its quotient by any ability
+#: up to 2**-60 clamps to +/-1: dividing by max(a, 2**-60) leaves every
+#: cutoff as it is and cannot overflow at a subnormal ability.
+_LEAST_DIVISOR = 2.0**-60
+
+
+def _cutoff(a, q):
+    """Signal cutoff s* = clip((1 - 2q)/a, -1, 1), elementwise; 0 where
+    a = 0.  ``a`` is one float for every q, or an array."""
+    x = 1.0 - 2.0 * q
+    if isinstance(a, float):
+        s = x / max(a, _LEAST_DIVISOR) if a > 0.0 else np.zeros_like(x)
+    else:
+        s = np.divide(x, np.maximum(a, _LEAST_DIVISOR),
+                      out=np.zeros(np.broadcast(a, q).shape), where=a > 0.0)
     return np.minimum(np.maximum(s, -1.0), 1.0)
 
 
-def _juror_step(a, q, tie_break: TieBreak) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _juror_step(a, q, tie_break: TieBreak, out=None):
     """Cutoff, P(vote A | state A) and P(vote A | state B), elementwise.
 
     ``q`` is the juror's pre-signal posterior that the state is A.  For
@@ -195,19 +206,24 @@ def _juror_step(a, q, tie_break: TieBreak) -> tuple[np.ndarray, np.ndarray, np.n
     the q = 1/2 knife edge (P(vote A) is then 0, 1/2 or 1 in both
     states).  This is the one statement of the decision rule: the exact
     walk, Monte Carlo, ``VoteHistory`` and ``ThresholdTable`` all call
-    it.  The zero-ability override runs only when some ability is 0, so
-    the common all-informed call costs the cutoff and two CDFs.
+    it.  ``a`` is one float for every q (one voting order), or an array;
+    the two probabilities are the rows of ``out``, a (2,) + q's shape
+    buffer, allocated when None.  The zero-ability override runs only
+    when some ability is 0, so the common all-informed call costs the
+    cutoff and the two CDF rows.
     """
-    a = np.asarray(a, dtype=float)
+    one = isinstance(a, float)
+    if not one:
+        a = np.asarray(a, dtype=float)
     s = _cutoff(a, q)
-    p_a = 1.0 - _cdf_A_on_support(a, s)
-    p_b = 1.0 - _cdf_B_on_support(a, s)
+    sign = _STATE_SIGN if np.ndim(s) else _STATE_SIGN[:, 0]
+    p = _cdf_on_support(a, s, sign, out)
+    np.subtract(1.0, p, out=p)
     blind = a == 0.0
-    if blind.any():
+    if blind if one else blind.any():
         vote = np.where(q == 0.5, _TIE_VOTE_A[tie_break], q > 0.5)
-        p_a = np.where(blind, vote, p_a)
-        p_b = np.where(blind, vote, p_b)
-    return s, p_a, p_b
+        np.copyto(p, vote, where=blind)
+    return s, p[0], p[1]
 
 
 @dataclass(frozen=True)
@@ -320,14 +336,14 @@ def _require_odd(config: JuryConfig) -> int:
 
 
 def _level_walk(abilities: np.ndarray, theta: float, tie_break: TieBreak,
-                w_a, w_b, split) -> tuple[np.ndarray, np.ndarray]:
+                w: np.ndarray, split) -> tuple[np.ndarray, np.ndarray]:
     """Weight that reaches an A majority, in state A and in state B, for
     each row of an (orders, n) array of voting orders.
 
     The one walk over the vote-history tree, one juror per level.  Per
     undecided history the frontier holds its order, its votes for A and,
     as (2, histories) arrays with state A first, its log-likelihoods
-    ``ll`` and weights ``w``; the roots weigh ``w_a`` and ``w_b``.  Given
+    ``ll`` and weights ``w``, which starts as the roots' weights.  Given
     the history and the state, a vote is a Bernoulli draw with P(vote A)
     from ``_juror_step``.  ``c[s]`` holds P(vote A) then P(vote B) in
     state s, and ``split(w, c)`` returns the children's weights in that
@@ -338,6 +354,12 @@ def _level_walk(abilities: np.ndarray, theta: float, tie_break: TieBreak,
     majority and children of zero weight leave the frontier.  Compaction
     is stable, so an order's results agree bit for bit alone or in a
     batch.
+
+    A level makes about 45 array calls whatever its width, so a narrow
+    tree costs mostly that: with every ability 0.9, or every ability
+    0.5, an n = 13 exact call takes about 1.5 ms, of which the first
+    level and the call's set-up take about 0.12 ms (interleaved medians
+    on a shared 2-CPU x86 host under load, numpy 2.4.6).
     """
     orders, n = abilities.shape
     need = n // 2 + 1
@@ -346,27 +368,26 @@ def _level_walk(abilities: np.ndarray, theta: float, tie_break: TieBreak,
     row = np.arange(orders)
     votes = np.zeros(orders, dtype=np.int64)
     ll = np.zeros((2, orders))
-    w = np.stack((w_a, w_b))
+    # one order: each juror's ability is one float for every history
+    column = abilities[0].tolist() if orders == 1 else None
     for i in range(n):
         m = len(row)
         q = _posterior_given_history(theta, ll[0], ll[1])
-        # one order: the scalar ability skips a gather and an array divide
-        a = abilities[0, i] if orders == 1 else abilities[row, i]
-        _, p_a, p_b = _juror_step(a, q, tie_break)
+        a = column[i] if orders == 1 else abilities[row, i]
         c = np.empty((2, 2 * m))
-        c[0, :m] = p_a
-        c[1, :m] = p_b
+        _juror_step(a, q, tie_break, out=c[:, :m])
         np.subtract(1.0, c[:, :m], out=c[:, m:])
         child = split(w, c)
         votes = np.concatenate((votes + 1, votes))
         if i + 1 >= need:  # no earlier juror can complete a majority
-            done = np.flatnonzero(votes[:m] == need)
-            rows = row[done]
-            won_a += np.bincount(rows, child[0][done], orders)
-            won_b += np.bincount(rows, child[1][done], orders)
+            done = (votes[:m] == need).nonzero()[0]
+            if len(done):
+                rows = row[done]
+                won_a += np.bincount(rows, child[0][done], orders)
+                won_b += np.bincount(rows, child[1][done], orders)
         # undecided children that hold weight in some state
-        keep = np.flatnonzero((child[0] + child[1] > 0.0) & (votes < need)
-                              & (votes > i + 1 - need))
+        keep = (np.logical_or(child[0], child[1]) & (votes < need)
+                & (votes > i + 1 - need)).nonzero()[0]
         parent = keep % m
         w = child.take(keep, axis=1)
         c = c.take(keep, axis=1)
@@ -386,17 +407,16 @@ def _mean_split(w, c):
 
 def _exact_majority_a(config: JuryConfig) -> tuple[float, float]:
     """P(majority votes A | state A) and P(majority votes A | state B)."""
-    one = np.ones(1)
     won_a, won_b = _level_walk(np.array([config.abilities]), config.prior.theta,
-                               config.tie_break, one, one, _mean_split)
+                               config.tie_break, np.ones((2, 1)), _mean_split)
     return float(won_a[0]), float(won_b[0])
 
 
 def _verdict_accuracy(abilities: np.ndarray, prior: Prior,
                       tie_break: TieBreak) -> np.ndarray:
     """Exact P(majority verdict is correct) for each row of ``abilities``."""
-    one = np.ones(len(abilities))
-    won_a, won_b = _level_walk(abilities, prior.theta, tie_break, one, one, _mean_split)
+    won_a, won_b = _level_walk(abilities, prior.theta, tie_break,
+                               np.ones((2, len(abilities))), _mean_split)
     p = prior.theta * won_a + (1.0 - prior.theta) * (1.0 - won_b)
     return np.clip(p, 0.0, 1.0)
 
@@ -406,13 +426,13 @@ def exact_verdict_probability(config: JuryConfig) -> VerdictStats:
 
     Averages the two conditional majority probabilities with prior
     weights theta and 1 - theta, from ``_level_walk`` with unit root
-    weights split by each vote's probability.  Each level costs a few
-    dozen array calls plus work in proportion to its histories, and peak
+    weights split by each vote's probability.  Each level costs about 45
+    array calls plus work in proportion to its histories, and peak
     memory follows the widest level: with every ability 0.5 at n = 25
     the walk visits 20.8M histories (the widest level 2.7M) in about
-    2.2 s at 0.65 GiB peak RSS, and a near-flat n = 13 jury (6.9k
-    histories) takes about 2 ms (2-CPU x86 host, numpy 2.4).  n stays
-    capped at ``EXACT_SIZE_LIMIT``.
+    2.5 s at 0.53-0.59 GiB peak RSS, and a near-flat n = 13 jury (6.9k
+    histories) takes about 1.5 ms (shared 2-CPU x86 host under load,
+    numpy 2.4.6).  n stays capped at ``EXACT_SIZE_LIMIT``.
     """
     n = _require_odd(config)
     if n > EXACT_SIZE_LIMIT:
@@ -451,7 +471,7 @@ def _simulate(config: JuryConfig, n_a: int, n_b: int,
         return np.concatenate((up, w - up), axis=1)
 
     won_a, won_b = _level_walk(np.array([config.abilities]), config.prior.theta,
-                               config.tie_break, np.array([n_a]), np.array([n_b]), split)
+                               config.tie_break, np.array([[n_a], [n_b]]), split)
     return int(won_a[0]), n_b - int(won_b[0])
 
 
@@ -519,11 +539,10 @@ def monte_carlo_verdict(config: JuryConfig, *, conditional: bool = False) -> Ver
     far slower than its trials, so only a call above ``_WALK_TRIALS``
     trials is split, into even shares walked in turn with the same
     generator; that bounds a walk's memory.  In process on a shared
-    2-CPU x86 host (numpy 2.4.6, median of 5 per call) the ``mc-sim``
-    calls (seed 7) take 0.3-0.5 ms at n = 3 (850,000 trials), 0.5-1.1 ms
-    at n = 7 (400,000), 2.3-5.1 ms at n = 25 (120,000) and 15-41 ms at
-    n = 101 (32,768), against 14-24, 14-26, 28-34 and 39-64 ms when
-    every 16,384 trials walked the tree afresh.
+    2-CPU x86 host under load (numpy 2.4.6, median of 5 per call) the
+    ``mc-sim`` calls (seed 7) take 0.4-0.5 ms at n = 3 (850,000 trials),
+    1.0 ms at n = 7 (400,000), 3.1-5.1 ms at n = 25 (120,000) and
+    13-35 ms at n = 101 (32,768).
     """
     _require_odd(config)
     theta = config.prior.theta
@@ -576,8 +595,8 @@ def order_scan(abilities, prior: Prior,
     They share one exact walk (``_level_walk``) as the rows of an (n!, n)
     ability array, so the array-call overhead is paid n times rather
     than n * n! times.  Each row equals ``exact_verdict_probability`` of
-    its ordering bit for bit.  The n = 7 scan takes about 48 ms (2-CPU
-    x86 host, numpy 2.4).
+    its ordering bit for bit.  The n = 7 scan takes about 47 ms (shared
+    2-CPU x86 host under load, numpy 2.4.6).
     """
     # validates the abilities, prior and tie rule as a single walk would
     config = JuryConfig(abilities=abilities, prior=prior, tie_break=tie_break)

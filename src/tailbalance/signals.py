@@ -107,14 +107,17 @@ def _check_state(state: StateOfNature) -> StateOfNature:
     return state
 
 
-def _cdf_A_on_support(a, t):
-    """State-A CDF for t in [-1, +1], unchecked; ``a`` may be an array."""
-    return (t + 1.0) * (a * t - a + 2.0) / 4.0
+def _cdf_on_support(a, t, sign, out=None):
+    """Signal CDF for t in [-1, +1], unchecked:
+    (t + 1) * (sign * (a*t - a) + 2) / 4.
 
-
-def _cdf_B_on_support(a, t):
-    """State-B CDF for t in [-1, +1], unchecked; ``a`` may be an array."""
-    return (t + 1.0) * (a - a * t + 2.0) / 4.0
+    ``sign`` is +1 for state A, (t + 1) * (a*t - a + 2) / 4, and -1 for
+    state B, (t + 1) * (a - a*t + 2) / 4: a - a*t is exactly -(a*t - a)
+    in IEEE arithmetic, so each state rounds as its formula written out
+    does.  ``a`` and ``sign`` broadcast against ``t``, so a column of
+    both signs gives both states' rows from one t + 1 and one a*t - a.
+    """
+    return np.divide((t + 1.0) * (sign * (a * t - a) + 2.0), 4.0, out=out)
 
 
 def _quantile_A_on_support(a, u):
@@ -133,14 +136,14 @@ def cdf_given_A(ability: float, t):
     support it continues as the constant 0 or 1.
     """
     a = _check_ability(ability)
-    out = _cdf_A_on_support(a, np.clip(np.asarray(t, dtype=float), -1.0, 1.0))
+    out = _cdf_on_support(a, np.clip(np.asarray(t, dtype=float), -1.0, 1.0), 1.0)
     return out if out.ndim else float(out)
 
 
 def cdf_given_B(ability: float, t):
     """CDF of the signal under state B: the mirror image of state A."""
     a = _check_ability(ability)
-    out = _cdf_B_on_support(a, np.clip(np.asarray(t, dtype=float), -1.0, 1.0))
+    out = _cdf_on_support(a, np.clip(np.asarray(t, dtype=float), -1.0, 1.0), -1.0)
     return out if out.ndim else float(out)
 
 

@@ -43,7 +43,7 @@ from .errors import (
     InvalidBoundary,
     SingularCoefficients,
 )
-from .signals import Prior, _cdf_A_on_support, _check_ability, _check_prior, _integer, _number
+from .signals import Prior, _cdf_on_support, _check_ability, _check_prior, _integer, _number
 
 DEFAULT_GRID = 1001
 
@@ -257,7 +257,7 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
     def core(t):
         t = np.clip(t, -1.0, 1.0)
         den = a + (lam - 1.0) * (a * a / 4.0) * (1.0 - t * t)
-        return _cdf_A_on_support(a, t) * (a / den)
+        return _cdf_on_support(a, t, 1.0) * (a / den)
 
     return _finish(_vec(core), Provenance.CLOSED_FORM_LINEAR, alpha, prior, n)
 
@@ -390,9 +390,14 @@ def posterior_tail(h, t, prior: Prior):
 def odds_limit_large_lambda(a: float, odds_lambda: float, t):
     """Leading behaviour of the linear-odds solution as lambda grows.
 
-    For t < 1 the solution is asymptotically 2/(lambda*a*(1 - t)) - 1/lambda,
-    an equivalent, not a CDF; it is kept separate from the solvers and
-    exists to validate the large-odds regime numerically.
+    For t inside (-1, 1) the solution is asymptotically
+    2/(lambda*a*(1 - t)) - 1/lambda, an equivalent, not a CDF; it is kept
+    separate from the solvers and exists to validate the large-odds
+    regime numerically.  The equivalent holds at t = -1 too, where it
+    reads (1/a - 1)/lambda.  At t = +1 the solution is exactly 1 for
+    every lambda and the equivalent would divide by zero, so the row
+    takes 1 there; off [-1, +1] it continues as 0 and 1, as the closed
+    forms do.
     """
     a = _check_ability(a)
     if a == 0.0:
@@ -401,7 +406,9 @@ def odds_limit_large_lambda(a: float, odds_lambda: float, t):
     if not lam > 0.0:
         raise DomainError(f"odds_lambda must be positive, got {odds_lambda!r}")
     t = np.asarray(t, dtype=float)
-    out = 2.0 / (lam * a * (1.0 - t)) - 1.0 / lam
+    top = t >= 1.0
+    inside = 2.0 / (lam * a * (1.0 - np.where(top, 0.0, t))) - 1.0 / lam
+    out = np.where(top, 1.0, np.where(t < -1.0, 0.0, inside))
     return out if out.ndim else float(out)
 
 
@@ -410,11 +417,13 @@ def odds_limit_small_lambda(a: float, t):
 
     Setting lambda = 0 in the closed form gives
     (1 + t) * (a*t - a + 2) / (4 - a + a*t**2), a genuine CDF (state A
-    is certain, so the solved distribution is conditioned on it).
+    is certain, so the solved distribution is conditioned on it): 0 at
+    t = -1 and 1 at t = +1, continued off [-1, +1] as the constants 0
+    and 1, as the closed forms are.
     """
     a = _check_ability(a)
     if a == 0.0:
         raise DomainError(f"ability must lie in (0, 1], got {a!r}")
-    t = np.asarray(t, dtype=float)
+    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
     out = (1.0 + t) * (a * t - a + 2.0) / (4.0 - a + a * t * t)
     return out if out.ndim else float(out)

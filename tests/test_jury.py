@@ -779,3 +779,136 @@ def test_uninformed_jury_in_a_fixed_state_hits_exactly(n, tie_break, theta, fixe
     for size in (1, 7, 16384):
         hits = history_chunk(config, size, np.random.SeedSequence(n), fixed_state)
         assert hits == p * size
+
+
+def posterior_before(theta, ll_a, ll_b):
+    """``_posterior_given_history`` as it was before the walk's per-level
+    calls were cut."""
+    m = np.maximum(ll_a, ll_b)
+    if (m == -np.inf).any():
+        raise DomainError("history has probability zero under both states")
+    w_a = theta * np.exp(ll_a - m)
+    w_b = (1.0 - theta) * np.exp(ll_b - m)
+    return w_a / (w_a + w_b)
+
+
+def cutoff_before(a, q):
+    """``_cutoff`` as it was before the walk's per-level calls were cut."""
+    a = np.asarray(a, dtype=float)
+    q = np.asarray(q, dtype=float)
+    with np.errstate(over="ignore"):
+        s = np.divide(1.0 - 2.0 * q, a, out=np.zeros(np.broadcast(a, q).shape),
+                      where=a > 0.0)
+    return np.minimum(np.maximum(s, -1.0), 1.0)
+
+
+def juror_step_before(a, q, tie_break):
+    """``_juror_step`` as it was before the walk's per-level calls were
+    cut, with the two CDFs each written out in full."""
+    a = np.asarray(a, dtype=float)
+    s = cutoff_before(a, q)
+    p_a = 1.0 - (s + 1.0) * (a * s - a + 2.0) / 4.0
+    p_b = 1.0 - (s + 1.0) * (a - a * s + 2.0) / 4.0
+    blind = a == 0.0
+    if blind.any():
+        vote = np.where(q == 0.5, jury._TIE_VOTE_A[tie_break], q > 0.5)
+        p_a = np.where(blind, vote, p_a)
+        p_b = np.where(blind, vote, p_b)
+    return s, p_a, p_b
+
+
+def level_walk_before(abilities, theta, tie_break, w_a, w_b, split):
+    """``_level_walk`` as it was before its per-level calls were cut: the
+    reference its outputs must equal bit for bit."""
+    orders, n = abilities.shape
+    need = n // 2 + 1
+    won_a = np.zeros(orders)
+    won_b = np.zeros(orders)
+    row = np.arange(orders)
+    votes = np.zeros(orders, dtype=np.int64)
+    ll = np.zeros((2, orders))
+    w = np.stack((w_a, w_b))
+    for i in range(n):
+        m = len(row)
+        q = posterior_before(theta, ll[0], ll[1])
+        a = abilities[0, i] if orders == 1 else abilities[row, i]
+        _, p_a, p_b = juror_step_before(a, q, tie_break)
+        c = np.empty((2, 2 * m))
+        c[0, :m] = p_a
+        c[1, :m] = p_b
+        np.subtract(1.0, c[:, :m], out=c[:, m:])
+        child = split(w, c)
+        votes = np.concatenate((votes + 1, votes))
+        if i + 1 >= need:
+            done = np.flatnonzero(votes[:m] == need)
+            rows = row[done]
+            won_a += np.bincount(rows, child[0][done], orders)
+            won_b += np.bincount(rows, child[1][done], orders)
+        keep = np.flatnonzero((child[0] + child[1] > 0.0) & (votes < need)
+                              & (votes > i + 1 - need))
+        parent = keep % m
+        w = child.take(keep, axis=1)
+        c = c.take(keep, axis=1)
+        with np.errstate(divide="ignore"):
+            np.log(c, out=c)
+        ll = np.add(c, ll.take(parent, axis=1), out=c)
+        votes = votes[keep]
+        row = row[parent]
+    return won_a, won_b
+
+
+def binomial_split(seed, n_a, n_b):
+    """``_simulate``'s split of trial counts, drawing from its own
+    generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    live = slice(0 if n_a else 1, 2 if n_b else 1)
+
+    def split(w, c):
+        up = np.zeros_like(w)
+        up[live] = rng.binomial(w[live], np.ascontiguousarray(c[live, :w.shape[1]]))
+        return np.concatenate((up, w - up), axis=1)
+    return split
+
+
+@st.composite
+def voting_orders(draw):
+    """One voting order of odd n up to 15, or a batch of its permutations."""
+    n = draw(st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15]))
+    abilities = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-310]),
+                                        st.floats(0.0, 1.0)),
+                              min_size=n, max_size=n))
+    if n < 3 or draw(st.booleans()):
+        return np.array([abilities])
+    return np.array(draw(st.lists(st.permutations(abilities), min_size=2, max_size=6)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(orders=voting_orders(),
+       theta=st.one_of(st.just(0.5), extreme_priors()),
+       tie_break=st.sampled_from(list(TieBreak)),
+       n_a=st.integers(0, 2**16), n_b=st.integers(0, 2**16),
+       seed=st.integers(0, 2**64 - 1))
+@example(orders=np.array([[0.0] * 10 + [0.5, 0.671875, 0.7738702922219873]]),
+         theta=0.5, tie_break=TieBreak.FOLLOW_SIGNAL_SIGN, n_a=3, n_b=5, seed=0)
+@example(orders=np.array([[0.0] * 5]), theta=0.5, tie_break=TieBreak.VOTE_A,
+         n_a=3, n_b=5, seed=0)  # the frontier empties before the last juror
+def test_level_walk_equals_the_walk_before_bit_for_bit(orders, theta, tie_break,
+                                                       n_a, n_b, seed):
+    count = len(orders)
+    ones = np.ones(count)
+    before = level_walk_before(orders, theta, tie_break, ones, ones, jury._mean_split)
+    after = jury._level_walk(orders, theta, tie_break, np.ones((2, count)),
+                             jury._mean_split)
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+    # the scalar step VoteHistory and ThresholdTable take, at the root
+    for a in orders[0].tolist():
+        assert ([float(x) for x in _juror_step(a, theta, tie_break)]
+                == [float(x) for x in juror_step_before(a, theta, tie_break)])
+    if n_a + n_b == 0:
+        return
+    w_a, w_b = np.full(count, n_a), np.full(count, n_b)
+    before = level_walk_before(orders, theta, tie_break, w_a, w_b,
+                               binomial_split(seed, n_a, n_b))
+    after = jury._level_walk(orders, theta, tie_break, np.stack((w_a, w_b)),
+                             binomial_split(seed, n_a, n_b))
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from tailbalance import (
@@ -221,3 +222,17 @@ def test_quantile_inverts_cdf_property(a, u):
 def test_posterior_is_a_probability_property(a, s, theta):
     q = posterior_from_signal(a, s, Prior(theta))
     assert 0.0 <= q <= 1.0
+
+
+ABILITY_POINTS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-310]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200)
+@given(a=ABILITY_POINTS,
+       t=hnp.arrays(float, st.integers(0, 40),
+                    elements=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                                       st.floats(-1.0, 1.0))))
+def test_cdfs_equal_their_formulas_bit_for_bit(a, t):
+    # one formula with a sign serves both states; each must round as written out
+    assert np.array_equal(cdf_given_A(a, t), (t + 1.0) * (a * t - a + 2.0) / 4.0)
+    assert np.array_equal(cdf_given_B(a, t), (t + 1.0) * (a - a * t + 2.0) / 4.0)

@@ -365,6 +365,20 @@ class TestOddsClosedForm:
                 approx = odds_limit_small_lambda(a, t)
                 assert abs(h(t) - approx) / abs(h(t)) < 1e-5
 
+    @pytest.mark.parametrize("t, large, small", [(-3.0, 0.0, 0.0), (-1.0, 0.1, 0.0),
+                                                  (1.0, 1.0, 1.0), (3.0, 1.0, 1.0)])
+    def test_limit_rows_at_and_off_the_ends(self, t, large, small):
+        # at t = -1 the large-odds equivalent reads (1/a - 1)/lambda;
+        # t = +1 would divide by zero in it
+        assert odds_limit_large_lambda(0.5, 10.0, t) == pytest.approx(large, abs=1e-15)
+        assert odds_limit_small_lambda(0.5, t) == small
+        grid = np.array([t, 0.0])
+        np.testing.assert_array_equal(odds_limit_large_lambda(0.5, 10.0, grid),
+                                      [odds_limit_large_lambda(0.5, 10.0, t),
+                                       odds_limit_large_lambda(0.5, 10.0, 0.0)])
+        np.testing.assert_array_equal(odds_limit_small_lambda(0.5, grid),
+                                      [small, odds_limit_small_lambda(0.5, 0.0)])
+
     def test_limit_helpers_reject_bad_input(self):
         with pytest.raises(DomainError):
             odds_limit_large_lambda(0.0, 10.0, 0.0)
