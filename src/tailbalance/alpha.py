@@ -256,9 +256,10 @@ class SolvedCdf:
     ``max_residual`` is the measured sup-norm residual of the producing
     solver's defining equation on its check grid (NaN for grid-ingested
     tables, which carry no defining equation until verified).
-    ``is_valid_cdf`` is recomputed from the evaluator, never asserted:
-    it records whether the values are nondecreasing and pinned to 0 and
-    1 at the endpoints on the check grid.
+    ``is_valid_cdf`` is computed, never asserted, from the solver's values
+    on the check grid, which equal the evaluator's there bit for bit: it
+    records whether they are nondecreasing and pinned to 0 and 1 at the
+    endpoints.
     """
 
     evaluator: Callable

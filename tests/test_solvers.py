@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tailbalance import (
     Affine,
+    AlphaSpec,
     CoefficientPair,
     DegenerateAbility,
     DegenerateAlpha,
@@ -32,7 +33,7 @@ from tailbalance import (
     solve_balanced,
     solve_odds,
 )
-from tailbalance.alpha import RESIDUAL_TOL
+from tailbalance.alpha import RESIDUAL_TOL, cdf_values_ok, evaluate_on
 
 HALF = Prior(0.5)
 ABILITIES = [round(0.1 * k, 1) for k in range(1, 11)]
@@ -379,6 +380,23 @@ class TestOddsClosedForm:
         np.testing.assert_array_equal(odds_limit_small_lambda(0.5, grid),
                                       [small, odds_limit_small_lambda(0.5, 0.0)])
 
+    @pytest.mark.parametrize("a, lam", [(5e-324, 1e-10), (1e-300, 1e-300), (0.5, 1e-320)])
+    def test_large_lambda_row_refuses_a_value_past_the_largest_double(self, a, lam):
+        # lambda * a underflows to 0 or 1/lambda overflows: the equivalent
+        # is beyond every double, so it is refused, not returned as inf
+        with pytest.raises(DomainError, match="not a finite double at t=0.0"):
+            odds_limit_large_lambda(a, lam, 0.0)
+        with pytest.raises(DomainError):
+            odds_limit_large_lambda(a, lam, np.array([-2.0, 0.0, 1.0]))
+
+    def test_large_lambda_row_keeps_its_finite_extremes(self):
+        # ends and off-support points never reach the quotient; a tiny
+        # lambda * a stays finite where lambda is large enough
+        np.testing.assert_array_equal(
+            odds_limit_large_lambda(0.5, 1e-320, np.array([-2.0, 1.0, 3.0])), [0.0, 1.0, 1.0])
+        assert odds_limit_large_lambda(5e-324, 1e300, 0.0) == 2.0 / (1e300 * 5e-324) - 1e-300
+        assert np.isnan(odds_limit_large_lambda(0.5, 10.0, np.nan))
+
     def test_limit_helpers_reject_bad_input(self):
         with pytest.raises(DomainError):
             odds_limit_large_lambda(0.0, 10.0, 0.0)
@@ -552,3 +570,197 @@ class TestSolvedCdfBehavior:
         report = residual_check(table, LinearAbility(0.5, 0.7), HALF,
                                 grid_size=101)
         assert report.max_residual <= 1e-10
+
+
+class CountingAlpha(AlphaSpec):
+    """A linear alpha that records the points of every call."""
+
+    def __init__(self, theta, a):
+        self.inner = LinearAbility(theta, a)
+        self.calls = []
+
+    def __call__(self, t):
+        self.calls.append(np.array(t, dtype=float))
+        return self.inner(t)
+
+
+def call_labels(calls, grid):
+    """Name each recorded call: the scalar probe at -1, +grid or -grid."""
+    labels = []
+    for t in calls:
+        if t.ndim == 0 and t == -1.0:
+            labels.append("probe")
+        elif np.array_equal(t, grid):
+            labels.append("+grid")
+        elif np.array_equal(t, -grid):
+            labels.append("-grid")
+        else:
+            labels.append(repr(t))
+    return sorted(labels)
+
+
+class TestOneGridPass:
+    """Each solver evaluates its inputs once per grid point and hands those
+    values to its residual and validity checks."""
+
+    @pytest.mark.parametrize("theta, solve", [
+        (0.3, lambda alpha: solve_odds(alpha, Prior(0.3), grid_size=101)),
+        (0.5, lambda alpha: solve_balanced(alpha, grid_size=101)),
+    ], ids=["odds", "balanced"])
+    def test_solve_odds_evaluates_alpha_once_per_side(self, theta, solve):
+        alpha = CountingAlpha(theta, 0.7)
+        solved = solve(alpha)
+        grid = np.linspace(-1.0, 1.0, 101)
+        assert call_labels(alpha.calls, grid) == ["+grid", "-grid", "probe"]
+        assert solved.max_residual <= RESIDUAL_TOL
+
+    def test_affine_pair_evaluates_each_coefficient_once_per_side(self):
+        calls = {"gamma": [], "delta": []}
+
+        def counted(name, fn):
+            def call(t):
+                calls[name].append(np.array(t, dtype=float))
+                return fn(np.asarray(t, dtype=float))
+            return call
+
+        pair = CoefficientPair(
+            gamma=counted("gamma", lambda t: np.asarray(cdf_given_A(0.6, -t))
+                          - 0.4 * np.asarray(cdf_given_A(0.6, t))),
+            delta=counted("delta", lambda t: np.full(t.shape, 0.4)))
+        solved = solve_affine_pair(pair, grid_size=101)
+        grid = np.linspace(-1.0, 1.0, 101)
+        for name in ("gamma", "delta"):
+            assert call_labels(calls[name], grid) == ["+grid", "-grid"], name
+        assert solved.max_residual <= RESIDUAL_TOL
+
+
+def same(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def affine_pair_residual(solved, coeffs, grid_size):
+    """solve_affine_pair's check from scratch: the sup of
+    |H(-t) - gamma(t) - delta(t) * H(t)| on the grid, and H on the grid."""
+    grid = np.linspace(-1.0, 1.0, grid_size)
+    h_pos = evaluate_on(solved, grid)
+    residual = np.abs(evaluate_on(solved, -grid) - evaluate_on(coeffs.gamma, grid)
+                      - evaluate_on(coeffs.delta, grid) * h_pos)
+    return float(np.max(residual)), h_pos
+
+
+def alpha_of_kind(kind, theta, a, p):
+    """A linear, affine or 41-knot curved tabulated alpha through
+    (-1, theta), or None where its constructor refuses (an affine
+    alpha(-1) or a table flat to rounding)."""
+    slope = (1.0 - theta) * a / 2.0
+    t = np.linspace(-1.0, 1.0, 41)
+    v = theta + (1.0 - theta) * a * ((t + 1.0) / 2.0) ** p
+    try:
+        if kind == "linear":
+            return LinearAbility(theta, a)
+        if kind == "affine":
+            return Affine(theta + slope, slope)
+        return Tabulated(tuple(zip(t.tolist(), v.tolist())))
+    except DomainError:
+        return None
+
+
+@st.composite
+def accepted_priors(draw):
+    """theta over the range Prior accepts: ordinary, log-uniform down to
+    1e-300, or within 1e-16 of 1."""
+    return draw(st.one_of(
+        st.floats(1e-6, 1.0 - 1e-6),
+        st.floats(-300.0, math.log10(0.5)).map(lambda e: 10.0 ** e),
+        st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0 ** e),
+        st.just(1e-300)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(theta=accepted_priors(),
+       a=st.one_of(st.just(0.0), st.floats(1e-300, 1.0)),
+       p=st.floats(0.6, 1.6),
+       kind=st.sampled_from(["linear", "affine", "table"]),
+       grid_size=st.sampled_from([3, 101, 1001]))
+def test_every_solver_matches_a_fresh_residual_check(theta, a, p, kind, grid_size):
+    """Each solver's max_residual and is_valid_cdf equal, bit for bit, a
+    from-scratch check of the evaluator it returns."""
+    prior = Prior(theta)
+    alpha, half = alpha_of_kind(kind, theta, a, p), alpha_of_kind(kind, 0.5, a, p)
+    runs = [(lambda: closed_form_linear_odds(a, prior, allow_uniform_limit=True,
+                                             grid_size=grid_size),
+             LinearAbility(theta, a), prior),
+            (lambda: closed_form_linear(a, grid_size=grid_size), LinearAbility(0.5, a), HALF),
+            (lambda: alt_decomposition_solver(a, grid_size=grid_size),
+             LinearAbility(0.5, a), HALF)]
+    if alpha is not None:
+        runs.append((lambda: solve_odds(alpha, prior, allow_uniform_limit=True,
+                                        grid_size=grid_size), alpha, prior))
+    if half is not None:
+        runs.append((lambda: solve_balanced(half, allow_uniform_limit=True,
+                                            grid_size=grid_size), half, HALF))
+    for run, target, target_prior in runs:
+        try:
+            solved = run()
+        except (DegenerateAlpha, InvalidBoundary):
+            continue
+        report = residual_check(solved, target, target_prior, grid_size=grid_size)
+        assert same(solved.max_residual, report.max_residual), solved.provenance
+        assert solved.is_valid_cdf == cdf_values_ok(report.h), solved.provenance
+
+    c = 0.9 * p - 0.5  # in (0.04, 0.94)
+    pair = CoefficientPair(
+        gamma=lambda t: np.asarray(cdf_given_A(a, -np.asarray(t)))
+        - c * np.asarray(cdf_given_A(a, t)),
+        delta=lambda t: np.full(np.shape(t), c))
+    solved = solve_affine_pair(pair, grid_size=grid_size)
+    residual, h_pos = affine_pair_residual(solved, pair, grid_size)
+    assert same(solved.max_residual, residual)
+    assert solved.is_valid_cdf == cdf_values_ok(h_pos)
+
+
+INTERIOR = np.linspace(-0.95, 0.95, 39)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.05, 1.0), log_gap=st.floats(-6.5, math.log10(0.5)))
+def test_solve_odds_approaches_the_small_lambda_row(a, log_gap):
+    """As theta -> 1 (lambda -> 0), up to the edge where solve_odds refuses,
+    the solution is the lambda = 0 row within lambda * 4a/9: the two share
+    the numerator and their denominators differ by lambda * a**2 (1 - t**2)/4,
+    against a product of denominators of at least (3a/4)**2."""
+    theta = 1.0 - 10.0 ** log_gap
+    prior = Prior(theta)
+    lam = prior.odds_lambda
+    try:
+        solved = solve_odds(LinearAbility(theta, a), prior)
+    except DegenerateAlpha:
+        assert lam < 1e-5  # refused only where den sinks below the guard
+        return
+    gap = np.abs(solved(INTERIOR) - odds_limit_small_lambda(a, INTERIOR))
+    # 1e-9: rounding of 1 - alpha, which has lost digits this close to 1
+    assert np.max(gap) <= lam * 4.0 * a / 9.0 + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.05, 1.0), theta=tiny_priors())
+def test_solve_odds_approaches_the_large_lambda_row(a, theta):
+    """As theta -> 0 (lambda -> inf) the solution is the large-odds row L
+    within a relative 4/(lambda * a * (1 - t**2)): the exact denominator
+    D exceeds the row's lambda * a**2 (1 - t**2)/4 by less than a."""
+    prior = Prior(theta)
+    lam = prior.odds_lambda
+    solved = solve_odds(LinearAbility(theta, a), prior)
+    row = odds_limit_large_lambda(a, lam, INTERIOR)
+    gap = np.abs(solved(INTERIOR) - row) / row
+    # 1e-14: rounding, relative
+    assert np.all(gap <= 4.0 / (lam * a * (1.0 - INTERIOR ** 2)) + 1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 1.0)))
+def test_balanced_closed_form_is_the_state_a_signal_cdf_bit_for_bit(a):
+    # at lambda = 1 the factor a / D(t) is exactly 1 and is skipped
+    solved = closed_form_linear(a)
+    t = np.linspace(-1.0, 1.0, 1001)
+    np.testing.assert_array_equal(solved(t), cdf_given_A(a, t))
