@@ -11,6 +11,7 @@ JSON object so the CLI and config files can carry them.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -132,7 +133,7 @@ def _knot_arrays(points, name: str) -> tuple[np.ndarray, np.ndarray]:
     ts, vs = np.array(pts).T.copy()
     if abs(ts[0] + 1.0) > EQUALITY_TOL or abs(ts[-1] - 1.0) > EQUALITY_TOL:
         raise DomainError(f"tabulated {name} knots must start at t=-1 and end at t=+1")
-    if not np.all(np.diff(ts) > 0.0):
+    if not (ts[1:] - ts[:-1] > 0.0).all():
         raise DomainError(f"tabulated {name} knot t values must be strictly increasing")
     return ts, vs
 
@@ -150,7 +151,7 @@ class Tabulated(AlphaSpec):
 
     def __post_init__(self) -> None:
         ts, vs = _knot_arrays(self.points, "alpha")
-        if not np.all(np.diff(vs) > 0.0):
+        if not (vs[1:] - vs[:-1] > 0.0).all():
             raise DomainError("knot values must be strictly increasing")
         if vs[0] <= 0.0 or vs[0] >= 1.0 or vs[-1] > 1.0 + EQUALITY_TOL:
             raise DomainError("knot values must lie in (0, 1]")
@@ -226,11 +227,11 @@ class CoefficientPair:
 
     def singularity_gap(self, grid_size: int = 1001) -> tuple[float, float]:
         """Smallest |1 - delta(t)*delta(-t)| on the grid and its location."""
-        t = np.linspace(-1.0, 1.0, int(grid_size))
+        t = check_grid(int(grid_size))
         d = evaluate_on(self.delta, t)
         d_neg = evaluate_on(self.delta, -t)
         gap = np.abs(1.0 - d * d_neg)
-        i = int(np.argmin(gap))
+        i = int(gap.argmin())
         return float(gap[i]), float(t[i])
 
     def is_solvable(self, grid_size: int = 1001, tol: float = EQUALITY_TOL) -> bool:
@@ -276,7 +277,7 @@ class SolvedCdf:
         """Wrap tabulated (t, H) knots (``_knot_arrays``; the H values
         need only be finite) as a piecewise-linear evaluator."""
         ts, hs = _knot_arrays(points, "H")
-        if not np.all(np.isfinite(hs)):
+        if not np.isfinite(hs).all():
             raise DomainError("tabulated H values must be finite")
 
         def evaluator(t, _ts=ts, _hs=hs):
@@ -290,27 +291,46 @@ class SolvedCdf:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def check_grid(n: int) -> np.ndarray:
+    """The n-point grid over [-1, +1], ``np.linspace(-1.0, 1.0, n)``.
+
+    Built once per size and shared by every call, so it is read-only:
+    whatever hands it to a caller copies it first.
+    """
+    grid = np.linspace(-1.0, 1.0, n)
+    grid.flags.writeable = False
+    return grid
+
+
 def evaluate_on(fn: Callable, grid: np.ndarray) -> np.ndarray:
-    """Evaluate a callable on a grid, falling back to a scalar loop."""
+    """Evaluate a callable on a grid, falling back to a scalar loop.
+
+    A callable that writes into a read-only grid (``check_grid``) raises
+    ValueError and so takes the scalar loop; a read-only result, such as
+    the grid itself handed back, is copied.
+    """
     try:
         out = np.asarray(fn(grid), dtype=float)
     except (TypeError, ValueError):
         out = None
     if out is None or out.shape != grid.shape:
         out = np.array([float(fn(float(x))) for x in grid])
+    elif not out.flags.writeable:
+        out = out.copy()
     return out
 
 
 def cdf_axioms_hold(evaluator: Callable, grid_size: int = 1001, tol: float = EQUALITY_TOL) -> bool:
     """Check monotonicity and endpoint pinning of an evaluator on a grid."""
-    t = np.linspace(-1.0, 1.0, int(grid_size))
-    return cdf_values_ok(evaluate_on(evaluator, t), tol)
+    return cdf_values_ok(evaluate_on(evaluator, check_grid(int(grid_size))), tol)
 
 
 def cdf_values_ok(h: np.ndarray, tol: float = EQUALITY_TOL) -> bool:
     """``cdf_axioms_hold`` for values already evaluated on a grid over [-1, +1]."""
-    if not np.all(np.isfinite(h)):
+    h = np.asarray(h)
+    if not np.isfinite(h).all():
         return False
     if abs(h[0]) > tol or abs(h[-1] - 1.0) > tol:
         return False
-    return bool(np.all(np.diff(h) >= -tol))
+    return bool((h[1:] - h[:-1] >= -tol).all())

@@ -10,6 +10,7 @@ degeneracy or a verification fails.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ from .jury import (
 from .signals import Prior, StateOfNature, posterior_from_signal, sample_signal
 from .solvers import (
     alt_decomposition_solver,
-    closed_form_linear,
     closed_form_linear_odds,
     residual_check,
     solve_balanced,
@@ -68,13 +68,12 @@ def _fmt17(value) -> str:
 
 
 def _emit(spec: CommandSpec, columns, rows, comments=(), extra_metadata=None) -> None:
+    # one write: click.echo flushes on every call
     if spec.output_format == "csv":
-        click.echo(f"# tailbalance {__version__} {spec.echo()}")
-        click.echo(",".join(columns))
-        for row in rows:
-            click.echo(",".join(_fmt17(v) for v in row))
-        for comment in comments:
-            click.echo(f"# {comment}")
+        lines = [f"# tailbalance {__version__} {spec.echo()}", ",".join(columns)]
+        lines.extend(",".join([_fmt17(v) for v in row]) for row in rows)
+        lines.extend(f"# {comment}" for comment in comments)
+        click.echo("\n".join(lines))
     else:
         metadata = {"version": __version__, "spec": json.loads(spec.echo())}
         if extra_metadata:
@@ -179,10 +178,8 @@ def _resolve_h(h_source, alpha: AlphaSpec, prior: Prior, linear_a,
     if h_source == "closed-form":
         if linear_a is None:
             raise click.UsageError("--h closed-form needs a linear alpha (--a)")
-        if prior.theta == 0.5:
-            return closed_form_linear(linear_a)
-        return closed_form_linear_odds(linear_a, prior,
-                                       allow_uniform_limit=allow_uniform)
+        return closed_form_linear_odds(
+            linear_a, prior, allow_uniform_limit=allow_uniform or prior.theta == 0.5)
     if h_source == "decomposition":
         if linear_a is None:
             raise click.UsageError("--h decomposition needs a linear alpha (--a)")
@@ -328,6 +325,8 @@ def solve(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
 def verify(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
            grid, tol, allow_uniform_limit, output_format):
     """Check a candidate H against the tail-balance equation for alpha."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise click.UsageError(f"--tol must be a finite number >= 0, got {tol!r}")
     cfg = _load_config(config_path)
     alpha, prior, linear_a = _resolve_alpha(cfg, alpha_kind, theta, ability,
                                             intercept, slope)

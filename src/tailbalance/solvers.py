@@ -17,11 +17,12 @@ check grid and once on its mirror, besides its alpha(-1) probe, and
 ``solve_affine_pair`` evaluates gamma and delta once each on both.  The
 H values, residual and validity come from those arrays through the same
 H formula the returned evaluator runs, so they equal bit for bit what a
-fresh ``residual_check`` of the evaluator reports.  On the default
-1001-point grid a call costs about 0.2 ms in process (2-CPU x86, numpy
-2.4), of which the residual report is a few array operations; the
-closed forms and the decomposition solver check their evaluator with
-``residual_check``, at about the same cost.
+fresh ``residual_check`` of the evaluator reports.  The closed forms
+and the decomposition solver check their evaluator with
+``residual_check``.  Every check grid comes from ``check_grid``, built
+once per size and shared read-only.  On the default 1001-point grid a
+call costs about 70-130 us in process (2-CPU x86, numpy 2.4), mostly
+fixed numpy dispatch over a dozen or so array operations.
 
 Every formula is evaluated in its alpha form.  The equivalent
 odds-transform form divides by 1 - alpha(t), which is 0 at t = +1
@@ -44,6 +45,7 @@ from .alpha import (
     Provenance,
     SolvedCdf,
     cdf_values_ok,
+    check_grid,
     evaluate_on,
 )
 from .errors import (
@@ -74,7 +76,7 @@ def _vec(core):
 
 def _uniform_solution(provenance: Provenance, alpha: AlphaSpec, prior: Prior,
                       grid_size: int) -> SolvedCdf:
-    evaluator = _vec(lambda t: (np.clip(t, -1.0, 1.0) + 1.0) / 2.0)
+    evaluator = _vec(lambda t: (np.minimum(np.maximum(t, -1.0), 1.0) + 1.0) / 2.0)
     return _finish(evaluator, provenance, residual_check(evaluator, alpha, prior, grid_size))
 
 
@@ -145,11 +147,11 @@ def solve_affine_pair(coeffs: CoefficientPair, *,
     honestly.
     """
     n = _check_grid_size(grid_size)
-    grid = np.linspace(-1.0, 1.0, n)
+    grid = check_grid(n)
     d_pos = evaluate_on(coeffs.delta, grid)
     d_neg = evaluate_on(coeffs.delta, -grid)
     gap = 1.0 - d_pos * d_neg
-    i = int(np.argmin(np.abs(gap)))
+    i = int(np.abs(gap).argmin())
     if abs(gap[i]) < EQUALITY_TOL:
         raise SingularCoefficients(float(grid[i]), float(gap[i]))
 
@@ -171,7 +173,7 @@ def solve_affine_pair(coeffs: CoefficientPair, *,
     return SolvedCdf(
         evaluator=_vec(core),
         provenance=Provenance.AFFINE_PAIR,
-        max_residual=float(np.max(residual)),
+        max_residual=float(residual.max()),
         is_valid_cdf=cdf_values_ok(h_pos),
     )
 
@@ -218,16 +220,16 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
             return theta * theta * (at + (an - 1.0)) + (1.0 - 2.0 * theta) * at * an
         return (1.0 - theta) ** 2 * at * an - theta * theta * (1.0 - at) * (1.0 - an)
 
-    grid = np.linspace(-1.0, 1.0, n)
+    grid = check_grid(n)
     a_pos = evaluate_on(alpha, grid)
     a_neg = evaluate_on(alpha, -grid)
     den = scaled_den(a_pos, a_neg)
     # <=: below theta ~ 1e-154 the band underflows to 0, and a den of
     # exactly 0 (a 0/0 in every H) must still be caught
-    if np.any(np.abs(den) <= EQUALITY_TOL * (theta * theta)):
-        if allow_uniform_limit and np.max(np.abs(a_pos - theta)) <= EQUALITY_TOL:
+    if (np.abs(den) <= EQUALITY_TOL * (theta * theta)).any():
+        if allow_uniform_limit and np.abs(a_pos - theta).max() <= EQUALITY_TOL:
             return _uniform_solution(Provenance.ODDS_FORMULA, alpha, prior, n)
-        where = float(grid[int(np.argmin(np.abs(den)))])
+        where = float(grid[int(np.abs(den).argmin())])
         raise DegenerateAlpha(
             f"odds-equation denominator vanishes near t={where!r}; "
             "no unique solution exists there"
@@ -278,7 +280,7 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
     lam = prior.odds_lambda
 
     def core(t):
-        t = np.clip(t, -1.0, 1.0)
+        t = np.minimum(np.maximum(t, -1.0), 1.0)
         out = _cdf_on_support(a, t, 1.0)
         if lam != 1.0:  # at lambda = 1, D is exactly a and the factor exactly 1
             out *= a / (a + (lam - 1.0) * (a * a / 4.0) * (1.0 - t * t))
@@ -366,11 +368,11 @@ def _report(grid: np.ndarray, h_pos: np.ndarray, h_neg: np.ndarray,
     +grid: ``residual_check`` and ``solve_odds``'s grid pass, which
     hands in the values it already has."""
     num, den, ratio = _tail_ratio(h_pos, h_neg, lam)
-    ratio = np.where((den == 0.0) & (num == 0.0), 1.0, ratio)
+    ratio[(den == 0.0) & (num == 0.0)] = 1.0
     target = a_vals.copy()
     target[-1] = 1.0
     residual = np.abs(ratio - target)
-    i = int(np.argmax(residual))
+    i = int(residual.argmax())
     return ResidualReport(
         t=grid,
         h=h_pos,
@@ -394,8 +396,8 @@ def residual_check(h, alpha: AlphaSpec, prior: Prior,
     """
     n = _check_grid_size(grid_size)
     _check_prior(prior)
-    grid = np.linspace(-1.0, 1.0, n)
-    return _report(grid, evaluate_on(h, grid), evaluate_on(h, -grid),
+    grid = check_grid(n)
+    return _report(grid.copy(), evaluate_on(h, grid), evaluate_on(h, -grid),
                    evaluate_on(alpha, grid), prior.odds_lambda)
 
 
@@ -418,7 +420,7 @@ def posterior_tail(h, t, prior: Prior):
             f"both tails vanish at interior point t={float(t_arr[interior[0]])!r}; "
             "the posterior ratio is 0/0 there"
         )
-    ratio = np.where(zero, 1.0, ratio)
+    ratio[zero] = 1.0
     if np.asarray(t, dtype=float).ndim == 0:
         return float(ratio[0])
     return ratio

@@ -157,6 +157,30 @@ class TestVerifyCommand:
         result = run_cli("verify", "--a", "0.6", "--h", "/nonexistent/h.csv")
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-12", "-inf"])
+    def test_meaningless_tol_exits_one(self, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--a", "0.5", "--tol", tol])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"Error: --tol must be a finite number >= 0, got {float(tol)!r}")
+
+    def test_zero_tol_is_accepted(self):
+        # the closed form's residual on this grid is exactly 0
+        run_cli("verify", "--a", "0.6", "--h", "closed-form", "--grid", "3",
+                "--tol", "0", check=0)
+
+    def test_csv_rows_then_summary_in_one_block(self, capsys):
+        main(["verify", "--a", "0.6", "--h", "closed-form", "--grid", "3"])
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[0].startswith("# tailbalance ")
+        assert lines[1] == "t,H,alpha,residual"
+        assert [ln.split(",")[0] for ln in lines[2:5]] == ["-1", "0", "1"]
+        assert lines[5].startswith("# max_residual ")
+        assert lines[6:] == [""]
+
 
 class TestSampleCommand:
     def test_deterministic_rows(self):

@@ -33,7 +33,7 @@ from tailbalance import (
     solve_balanced,
     solve_odds,
 )
-from tailbalance.alpha import RESIDUAL_TOL, cdf_values_ok, evaluate_on
+from tailbalance.alpha import RESIDUAL_TOL, cdf_values_ok, check_grid, evaluate_on
 
 HALF = Prior(0.5)
 ABILITIES = [round(0.1 * k, 1) for k in range(1, 11)]
@@ -466,6 +466,22 @@ class TestOutsideTheSupport:
         np.testing.assert_array_equal(h(self.OUTSIDE), self.EXPECTED)
         assert h(-2.0) == 0.0
 
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("theta", [1e-6, 0.5, 0.9])
+    def test_closed_forms_clamp_as_np_clip_does(self, a, theta):
+        # NaN passes through and -0.0 keeps its sign, as under np.clip
+        t = np.array([np.nan, -0.0, 0.0, -np.inf, np.inf, -1.0, 1.0, 5e-324, -0.3])
+        h = closed_form_linear_odds(a, Prior(theta), allow_uniform_limit=True)
+        if a == 0.0:
+            expected = (np.clip(t, -1.0, 1.0) + 1.0) / 2.0
+        else:
+            c = np.clip(t, -1.0, 1.0)
+            expected = (c + 1.0) * (a * c - a + 2.0) / 4.0
+            lam = Prior(theta).odds_lambda
+            if lam != 1.0:
+                expected *= a / (a + (lam - 1.0) * (a * a / 4.0) * (1.0 - c * c))
+        assert h(t).tobytes() == expected.tobytes()
+
 
 class TestPosteriorTail:
     def test_prior_at_left_endpoint(self):
@@ -632,6 +648,104 @@ class TestOneGridPass:
         for name in ("gamma", "delta"):
             assert call_labels(calls[name], grid) == ["+grid", "-grid"], name
         assert solved.max_residual <= RESIDUAL_TOL
+
+
+def in_place_linear(theta, a):
+    """LinearAbility(theta, a) computed in place: it writes into an array
+    argument, step by step in the order LinearAbility rounds."""
+    def alpha(t):
+        t += 1.0
+        t *= 1.0 - theta
+        t *= a
+        t /= 2.0
+        t += theta
+        return t
+    return alpha
+
+
+def read_only(values):
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+class TestCheckGrid:
+    """Solvers share one read-only grid per size; no array a caller sees
+    is that grid or read-only."""
+
+    @pytest.mark.parametrize("n", [3, 101, 1001, 20001])
+    def test_cached_grid_is_read_only_linspace(self, n):
+        grid = check_grid(n)
+        assert check_grid(n) is grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+        assert grid.tobytes() == np.linspace(-1.0, 1.0, n).tobytes()
+
+    def test_writing_into_a_report_leaves_later_calls_alone(self):
+        alpha, prior = LinearAbility(0.3, 0.7), Prior(0.3)
+        solved = solve_odds(alpha, prior, grid_size=101)
+        before = residual_check(solved, alpha, prior, 101)
+        report = residual_check(solved, alpha, prior, 101)
+        for values in (report.t, report.h, report.alpha, report.residual):
+            assert values.flags.writeable
+            values[:] = 7.0
+        later = residual_check(solved, alpha, prior, 101)
+        assert later.t.tobytes() == np.linspace(-1.0, 1.0, 101).tobytes()
+        assert later.h.tobytes() == before.h.tobytes()
+        assert later.max_residual == before.max_residual
+        again = solve_odds(alpha, prior, grid_size=101)
+        assert again(GRID_201).tobytes() == solved(GRID_201).tobytes()
+        assert again.max_residual == solved.max_residual
+
+    def test_a_callable_that_returns_its_argument_gets_its_own_copy(self):
+        report = residual_check(lambda t: t, LinearAbility(0.5, 0.6), HALF, 101)
+        assert report.h.flags.writeable
+        report.h[:] = 7.0
+        assert check_grid(101).tobytes() == np.linspace(-1.0, 1.0, 101).tobytes()
+        assert report.t.tobytes() == np.linspace(-1.0, 1.0, 101).tobytes()
+
+    @pytest.mark.parametrize("theta, a", [(0.3, 0.7), (0.5, 0.6), (0.8, 1.0), (1e-200, 0.4)])
+    @pytest.mark.parametrize("grid_size", [101, 1001])
+    def test_alpha_that_updates_its_argument_matches_a_pure_one(self, theta, a, grid_size):
+        prior = Prior(theta)
+        pure = solve_odds(LinearAbility(theta, a), prior, grid_size=grid_size)
+        impure = solve_odds(in_place_linear(theta, a), prior, grid_size=grid_size)
+        # a read-only argument sends the in-place alpha through the scalar loop
+        t = read_only(np.linspace(-1.5, 1.5, 301))
+        assert impure(t).tobytes() == pure(t).tobytes()
+        assert impure.max_residual == pure.max_residual
+        assert impure.is_valid_cdf == pure.is_valid_cdf
+        check = residual_check(pure, in_place_linear(theta, a), prior, grid_size)
+        assert check.max_residual == pure.max_residual
+        assert check.alpha.tobytes() == evaluate_on(LinearAbility(theta, a),
+                                                    check_grid(grid_size)).tobytes()
+
+    def test_coefficients_that_update_their_argument_match_pure_ones(self):
+        def pure_gamma(t):
+            return np.asarray(cdf_given_A(0.6, -t)) - 0.4 * np.asarray(cdf_given_A(0.6, t))
+
+        def in_place_delta(t):
+            t *= 0.0
+            t += 0.4
+            return t
+
+        def in_place_gamma(t):
+            values = pure_gamma(np.asarray(t, dtype=float))
+            t *= 0.0
+            t += values
+            return t
+
+        pure = solve_affine_pair(CoefficientPair(pure_gamma, lambda t: np.full(np.shape(t), 0.4)),
+                                 grid_size=101)
+        impure = solve_affine_pair(CoefficientPair(in_place_gamma, in_place_delta),
+                                   grid_size=101)
+        assert impure.max_residual == pure.max_residual
+        assert impure.is_valid_cdf == pure.is_valid_cdf
+        t = read_only(GRID_201)
+        assert impure(t).tobytes() == pure(t).tobytes()
+        pair = CoefficientPair(in_place_gamma, in_place_delta)
+        assert pair.singularity_gap(101) == (0.84, -1.0)
 
 
 def same(x, y):
