@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .signals import Prior, _check_ability, _number
+from .signals import Prior, _check_ability, _integer, _number
 
 #: Absolute tolerance for pointwise equality of two evaluated functions.
 EQUALITY_TOL = 1e-12
@@ -227,7 +227,7 @@ class CoefficientPair:
 
     def singularity_gap(self, grid_size: int = 1001) -> tuple[float, float]:
         """Smallest |1 - delta(t)*delta(-t)| on the grid and its location."""
-        t = check_grid(int(grid_size))
+        t = check_grid(_check_grid_size(grid_size))
         d = evaluate_on(self.delta, t)
         d_neg = evaluate_on(self.delta, -t)
         gap = np.abs(1.0 - d * d_neg)
@@ -291,6 +291,15 @@ class SolvedCdf:
         )
 
 
+def _check_grid_size(grid_size: int) -> int:
+    """The one rule for a check-grid size: an odd integer >= 3, so the
+    grid holds -1, 0 and +1."""
+    n = _integer(grid_size, "grid_size")
+    if n < 3 or n % 2 == 0:
+        raise DomainError(f"grid_size must be an odd integer >= 3, got {grid_size!r}")
+    return n
+
+
 @functools.lru_cache(maxsize=8)
 def check_grid(n: int) -> np.ndarray:
     """The n-point grid over [-1, +1], ``np.linspace(-1.0, 1.0, n)``.
@@ -323,7 +332,7 @@ def evaluate_on(fn: Callable, grid: np.ndarray) -> np.ndarray:
 
 def cdf_axioms_hold(evaluator: Callable, grid_size: int = 1001, tol: float = EQUALITY_TOL) -> bool:
     """Check monotonicity and endpoint pinning of an evaluator on a grid."""
-    return cdf_values_ok(evaluate_on(evaluator, check_grid(int(grid_size))), tol)
+    return cdf_values_ok(evaluate_on(evaluator, check_grid(_check_grid_size(grid_size))), tol)
 
 
 def cdf_values_ok(h: np.ndarray, tol: float = EQUALITY_TOL) -> bool:

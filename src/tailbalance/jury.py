@@ -28,7 +28,6 @@ from .alpha import EQUALITY_TOL
 from .errors import DomainError, EvenJury, SizeLimit, ZeroAbility
 from .signals import (
     Prior,
-    StateOfNature,
     _cdf_on_support,
     _check_ability,
     _check_prior,
@@ -42,9 +41,6 @@ EXACT_SIZE_LIMIT = 25
 
 #: Largest jury order_scan will permute (factorial growth).
 ORDER_SCAN_LIMIT = 7
-
-#: Largest jury for which a full ThresholdTable is materialized.
-TABLE_SIZE_LIMIT = 15
 
 class TieBreak(enum.Enum):
     """What a juror does when the posterior is exactly 1/2 and the signal
@@ -155,13 +151,10 @@ class CondorcetModel:
         object.__setattr__(self, "n", n)
 
 
-def _log(p: float) -> float:
-    return math.log(p) if p > 0.0 else -math.inf
-
-
 def _posterior_given_history(theta: float, ll_a, ll_b):
     """Posterior P(state A | history) from accumulated log-likelihoods,
-    elementwise over arrays of histories."""
+    elementwise over arrays of histories: ``_level_walk``'s posterior
+    at each level."""
     m = np.maximum(ll_a, ll_b)
     if m.size and m.min() == -np.inf:
         raise DomainError("history has probability zero under both states")
@@ -199,114 +192,30 @@ def _cutoff(a, q):
 def _juror_step(a, q, tie_break: TieBreak, out=None):
     """Cutoff, P(vote A | state A) and P(vote A | state B), elementwise.
 
-    ``q`` is the juror's pre-signal posterior that the state is A.  For
-    a > 0 the juror votes A exactly when the signal reaches the cutoff
-    s* = clip((1 - 2q)/a, -1, 1); at zero ability the signal is useless
-    and the vote follows the posterior alone, with ``tie_break`` deciding
-    the q = 1/2 knife edge (P(vote A) is then 0, 1/2 or 1 in both
-    states).  This is the one statement of the decision rule: the exact
-    walk, Monte Carlo, ``VoteHistory`` and ``ThresholdTable`` all call
-    it.  ``a`` is one float for every q (one voting order), or an array;
-    the two probabilities are the rows of ``out``, a (2,) + q's shape
-    buffer, allocated when None.  The zero-ability override runs only
-    when some ability is 0, so the common all-informed call costs the
-    cutoff and the two CDF rows.
+    ``q`` is the array of the juror's pre-signal posteriors that the
+    state is A, one per history.  For a > 0 the juror votes A exactly
+    when the signal reaches the cutoff s* = clip((1 - 2q)/a, -1, 1); at
+    zero ability the signal is useless and the vote follows the
+    posterior alone, with ``tie_break`` deciding the q = 1/2 knife edge
+    (P(vote A) is then 0, 1/2 or 1 in both states).  This is the one
+    statement of the decision rule; ``_level_walk`` calls it for the
+    exact walk, ``order_scan`` and Monte Carlo.  ``a`` is one float for
+    every q (one voting order), or an array; the two probabilities are
+    the rows of ``out``, a (2,) + q's shape buffer, allocated when None.
+    The zero-ability override runs only when some ability is 0, so the
+    common all-informed call costs the cutoff and the two CDF rows.
     """
     one = isinstance(a, float)
     if not one:
         a = np.asarray(a, dtype=float)
     s = _cutoff(a, q)
-    sign = _STATE_SIGN if np.ndim(s) else _STATE_SIGN[:, 0]
-    p = _cdf_on_support(a, s, sign, out)
+    p = _cdf_on_support(a, s, _STATE_SIGN, out)
     np.subtract(1.0, p, out=p)
     blind = a == 0.0
     if blind if one else blind.any():
         vote = np.where(q == 0.5, _TIE_VOTE_A[tie_break], q > 0.5)
         np.copyto(p, vote, where=blind)
     return s, p[0], p[1]
-
-
-@dataclass(frozen=True)
-class VoteHistory:
-    """A prefix of the voting with its likelihood under each state.
-
-    The log-likelihood fields are exactly the sums of per-vote
-    conditional log-probabilities, so rebuilding the history vote by
-    vote from scratch reproduces them.
-    """
-
-    votes: tuple[StateOfNature, ...] = ()
-    loglik_A: float = 0.0
-    loglik_B: float = 0.0
-
-    def extend(self, config: JuryConfig, vote: StateOfNature) -> "VoteHistory":
-        i = len(self.votes)
-        if i >= len(config.abilities):
-            raise DomainError("every juror has already voted")
-        q = _posterior_given_history(config.prior.theta, self.loglik_A, self.loglik_B)
-        _, p_a, p_b = _juror_step(config.abilities[i], q, config.tie_break)
-        p_a, p_b = float(p_a), float(p_b)
-        if vote is StateOfNature.A:
-            step_a, step_b = p_a, p_b
-        else:
-            step_a, step_b = 1.0 - p_a, 1.0 - p_b
-        return VoteHistory(
-            votes=self.votes + (vote,),
-            loglik_A=self.loglik_A + _log(step_a),
-            loglik_B=self.loglik_B + _log(step_b),
-        )
-
-    @classmethod
-    def from_votes(cls, config: JuryConfig, votes) -> "VoteHistory":
-        history = cls()
-        for vote in votes:
-            history = history.extend(config, vote)
-        return history
-
-
-@dataclass(frozen=True)
-class ThresholdTable:
-    """Materialized signal cutoffs, keyed by vote-history prefix.
-
-    ``entries[votes]`` is the cutoff faced by juror ``len(votes)`` after
-    seeing that history; ``None`` marks zero-ability jurors, whose vote
-    ignores the signal except through the tie rule.  Histories that are
-    impossible under both states carry no entry.
-    """
-
-    entries: dict
-
-    def lookup(self, votes: tuple[StateOfNature, ...]):
-        return self.entries[tuple(votes)]
-
-    @classmethod
-    def from_config(cls, config: JuryConfig) -> "ThresholdTable":
-        n = len(config.abilities)
-        if n > TABLE_SIZE_LIMIT:
-            raise SizeLimit(
-                f"threshold tables hold 2**n entries; n={n} exceeds the "
-                f"cap of {TABLE_SIZE_LIMIT}"
-            )
-        theta = config.prior.theta
-        entries: dict = {}
-
-        def walk(votes: tuple, ll_a: float, ll_b: float) -> None:
-            i = len(votes)
-            if i == n:
-                return
-            a = config.abilities[i]
-            q = _posterior_given_history(theta, ll_a, ll_b)
-            cut, p_a, p_b = _juror_step(a, q, config.tie_break)
-            entries[votes] = float(cut) if a > 0.0 else None
-            p_a, p_b = float(p_a), float(p_b)
-            if p_a > 0.0 or p_b > 0.0:
-                walk(votes + (StateOfNature.A,), ll_a + _log(p_a), ll_b + _log(p_b))
-            if p_a < 1.0 or p_b < 1.0:
-                walk(votes + (StateOfNature.B,),
-                     ll_a + _log(1.0 - p_a), ll_b + _log(1.0 - p_b))
-
-        walk((), 0.0, 0.0)
-        return cls(entries=entries)
 
 
 def vote_threshold(a: float, posterior_a_before_signal: float) -> float:

@@ -23,13 +23,6 @@ import numpy as np
 
 from .errors import DomainError
 
-#: An ability is a plain float in [0, 1].
-Ability = float
-
-#: A signal is a plain float in [-1, +1].
-Signal = float
-
-
 class StateOfNature(enum.Enum):
     """The binary hidden state conditioning every signal distribution."""
 
@@ -86,10 +79,16 @@ def _number(value, name: str) -> float:
 
 
 def _integer(value, name: str) -> int:
+    """``value`` as an int; raises DomainError for a non-number or a
+    number with a fractional part.  An integral float such as 1000.0
+    and a digit string such as '7' pass."""
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        number = None
+    if number is None or (number != value and not isinstance(value, str)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return number
 
 
 def _check_seed(seed) -> int:

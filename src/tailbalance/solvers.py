@@ -44,6 +44,7 @@ from .alpha import (
     LinearAbility,
     Provenance,
     SolvedCdf,
+    _check_grid_size,
     cdf_values_ok,
     check_grid,
     evaluate_on,
@@ -56,7 +57,7 @@ from .errors import (
     InvalidBoundary,
     SingularCoefficients,
 )
-from .signals import Prior, _cdf_on_support, _check_ability, _check_prior, _integer, _number
+from .signals import Prior, _cdf_on_support, _check_ability, _check_prior, _number
 
 DEFAULT_GRID = 1001
 
@@ -64,11 +65,19 @@ _BALANCED_PRIOR = Prior(0.5)
 
 
 def _vec(core):
-    """Wrap an array-in/array-out core so scalars pass through cleanly."""
+    """Wrap an array-in/array-out core so scalars pass through cleanly.
+
+    ``core`` gets a read-only view of the caller's array, as a solver
+    gets ``check_grid``: a callable inside it that writes into its
+    argument takes ``evaluate_on``'s scalar loop instead of overwriting
+    the caller's t.
+    """
 
     def evaluator(t):
         t = np.asarray(t, dtype=float)
-        out = core(np.atleast_1d(t))
+        view = np.atleast_1d(t).view()
+        view.flags.writeable = False
+        out = core(view)
         return float(out[0]) if t.ndim == 0 else out
 
     return evaluator
@@ -90,13 +99,6 @@ def _finish(evaluator, provenance: Provenance, report: ResidualReport) -> Solved
         max_residual=report.max_residual,
         is_valid_cdf=cdf_values_ok(report.h),
     )
-
-
-def _check_grid_size(grid_size: int) -> int:
-    n = _integer(grid_size, "grid_size")
-    if n < 3 or n % 2 == 0:
-        raise DomainError(f"grid_size must be an odd integer >= 3, got {grid_size!r}")
-    return n
 
 
 def solve_balanced(alpha: AlphaSpec, *, allow_uniform_limit: bool = False,

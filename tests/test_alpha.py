@@ -172,6 +172,16 @@ class TestCoefficientPair:
         assert not pair.is_solvable()
 
 
+@pytest.mark.parametrize("grid_size", [0, 1, 2, 4, 1000, -3, None, "x", 5.5])
+def test_every_public_grid_argument_refuses_a_bad_size(grid_size):
+    pair = CoefficientPair(gamma=lambda t: 0.25 * (1.0 - t),
+                           delta=lambda t: -0.25 * (1.0 - t))
+    for check in (pair.singularity_gap, pair.is_solvable,
+                  lambda n: cdf_axioms_hold(lambda t: (np.asarray(t) + 1.0) / 2.0, n)):
+        with pytest.raises(DomainError, match="grid_size must be an"):
+            check(grid_size)
+
+
 class TestSolvedCdf:
     def test_from_table_evaluates_by_interpolation(self):
         t = np.linspace(-1.0, 1.0, 5)

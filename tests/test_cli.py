@@ -336,6 +336,7 @@ class TestWrongTypedConfig:
         ("sample", {"a": 0.5, "seed": "x"}, "error: seed must be an integer, got 'x'"),
         ("condorcet", {"p": "x"}, "error: p must be a number, got 'x'"),
         ("condorcet", {"n_max": "x", "p": 0.6}, "error: n must be an integer, got 'x'"),
+        ("condorcet", {"n_max": 5.9, "p": 0.6}, "error: n must be an integer, got 5.9"),
         ("solve", {"kind": "affine", "intercept": "x", "slope": 0.2},
          "error: intercept and slope must be numbers, got 'x' and 0.2"),
         ("solve", {"kind": "table", "points": 5},

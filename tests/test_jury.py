@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tailbalance import (
@@ -19,9 +19,7 @@ from tailbalance import (
     Prior,
     SizeLimit,
     StateOfNature,
-    ThresholdTable,
     TieBreak,
-    VoteHistory,
     ZeroAbility,
     cdf_given_A,
     cdf_given_B,
@@ -31,6 +29,7 @@ from tailbalance import (
     exact_verdict_probability,
     monte_carlo_verdict,
     order_scan,
+    posterior_from_signal,
     vote_threshold,
 )
 from tailbalance import jury
@@ -83,6 +82,16 @@ class TestJuryConfig:
         with pytest.raises(DomainError, match=r"trials must lie in \[1, 2\*\*63\)"):
             make_config((0.5,), trials=2**63)
 
+    def test_non_integral_numbers_are_refused(self):
+        config = make_config((0.5,), trials=1000.0, seed=2.0)
+        assert (config.trials, config.seed) == (1000, 2)
+        with pytest.raises(DomainError, match="trials must be an integer, got 1000.9"):
+            make_config((0.5,), trials=1000.9)
+        with pytest.raises(DomainError, match="seed must be an integer, got 2.5"):
+            make_config((0.5,), seed=2.5)
+        with pytest.raises(DomainError, match="n must be an integer, got 5.9"):
+            CondorcetModel(0.6, 5.9)
+
     @pytest.mark.parametrize("fields", [
         {"abilities": [0.5], "theta": None},
         {"abilities": [0.5], "theta": 10**400},
@@ -122,71 +131,16 @@ class TestVoteThreshold:
         with pytest.raises(DomainError):
             vote_threshold(-0.1, 0.5)
 
-
-class TestVoteHistory:
-    def test_loglik_matches_hand_computation(self):
-        # two jurors (0.8, 0.6) at theta = 1/2; votes A then B
-        config = make_config((0.8, 0.6))
-        history = VoteHistory.from_votes(
-            config, (StateOfNature.A, StateOfNature.B))
-
-        p1_a = 1.0 - cdf_given_A(0.8, 0.0)
-        p1_b = 1.0 - cdf_given_B(0.8, 0.0)
-        q2 = p1_a / (p1_a + p1_b)
-        cut2 = (1.0 - 2.0 * q2) / 0.6
-        p2_a = 1.0 - cdf_given_A(0.6, cut2)
-        p2_b = 1.0 - cdf_given_B(0.6, cut2)
-
-        assert history.loglik_A == pytest.approx(
-            math.log(p1_a) + math.log(1.0 - p2_a), abs=1e-12)
-        assert history.loglik_B == pytest.approx(
-            math.log(p1_b) + math.log(1.0 - p2_b), abs=1e-12)
-
-    def test_incremental_equals_batch(self):
-        config = make_config((0.5, 0.9, 0.1), theta=0.6)
-        votes = (StateOfNature.B, StateOfNature.A, StateOfNature.A)
-        step = VoteHistory()
-        for vote in votes:
-            step = step.extend(config, vote)
-        batch = VoteHistory.from_votes(config, votes)
-        assert step == batch
-
-    def test_extension_past_jury_size_raises(self):
-        config = make_config((0.5,))
-        history = VoteHistory.from_votes(config, (StateOfNature.A,))
-        with pytest.raises(DomainError):
-            history.extend(config, StateOfNature.B)
-
-
-class TestThresholdTable:
-    def test_interior_cutoffs_split_posterior_in_half(self):
-        from tailbalance.jury import _posterior_given_history
-
-        config = make_config((0.5, 0.9, 0.1))
-        table = ThresholdTable.from_config(config)
-        checked = 0
-        for votes, cutoff in table.entries.items():
-            if cutoff is None or abs(cutoff) >= 1.0:
-                continue
-            history = VoteHistory.from_votes(config, votes)
-            q = _posterior_given_history(config.prior.theta,
-                                         history.loglik_A, history.loglik_B)
-            a = config.abilities[len(votes)]
-            posterior_at_cut = q * (1.0 + a * cutoff) / (
-                q * (1.0 + a * cutoff) + (1.0 - q) * (1.0 - a * cutoff))
-            assert posterior_at_cut == pytest.approx(0.5, abs=1e-12)
-            checked += 1
-        assert checked > 0
-
-    def test_zero_ability_entries_are_none(self):
-        config = make_config((0.0, 0.5, 0.0))
-        table = ThresholdTable.from_config(config)
-        assert table.lookup(()) is None
-        assert table.lookup((StateOfNature.A, StateOfNature.A)) is None
-
-    def test_size_cap(self):
-        with pytest.raises(SizeLimit):
-            ThresholdTable.from_config(make_config((0.5,) * 16))
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(0.0, 1.0, exclude_min=True),
+           q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_interior_cutoffs_split_the_posterior_in_half(self, a, q):
+        cutoff = vote_threshold(a, q)
+        assume(abs(cutoff) < 1.0)
+        # 1 + a*s and 1 - a*s cancel to 2(1 - q) and 2q, so the rounding
+        # grows as 1/min(q, 1 - q)
+        assert posterior_from_signal(a, cutoff, Prior(q)) == pytest.approx(
+            0.5, rel=0.0, abs=1e-15 / min(q, 1.0 - q))
 
 
 class TestExactVerdict:
@@ -497,6 +451,38 @@ def test_exact_probability_is_always_a_probability(abilities, theta):
     assert 0.0 <= stats.p_correct <= 1.0
 
 
+def history_loglik(config, votes):
+    """log P(votes | A) and log P(votes | B) of a vote history, rebuilt
+    vote by vote from ``_posterior_given_history`` and ``_juror_step`` on
+    1-element arrays."""
+    ll_a = ll_b = np.zeros(1)
+    for a, vote in zip(config.abilities, votes):
+        q = _posterior_given_history(config.prior.theta, ll_a, ll_b)
+        _, p_a, p_b = _juror_step(a, q, config.tie_break)
+        if vote is StateOfNature.B:
+            p_a, p_b = 1.0 - p_a, 1.0 - p_b
+        with np.errstate(divide="ignore"):
+            ll_a = ll_a + np.log(p_a)
+            ll_b = ll_b + np.log(p_b)
+    return float(ll_a[0]), float(ll_b[0])
+
+
+def test_history_loglik_matches_hand_computation():
+    # two jurors (0.8, 0.6) at theta = 1/2; votes A then B
+    config = make_config((0.8, 0.6))
+    ll_a, ll_b = history_loglik(config, (StateOfNature.A, StateOfNature.B))
+
+    p1_a = 1.0 - cdf_given_A(0.8, 0.0)
+    p1_b = 1.0 - cdf_given_B(0.8, 0.0)
+    q2 = p1_a / (p1_a + p1_b)
+    cut2 = (1.0 - 2.0 * q2) / 0.6
+    p2_a = 1.0 - cdf_given_A(0.6, cut2)
+    p2_b = 1.0 - cdf_given_B(0.6, cut2)
+
+    assert ll_a == pytest.approx(math.log(p1_a) + math.log(1.0 - p2_a), abs=1e-12)
+    assert ll_b == pytest.approx(math.log(p1_b) + math.log(1.0 - p2_b), abs=1e-12)
+
+
 def brute_force_majority_a(config):
     """P(majority A | A), P(majority A | B) summed over all 2**n complete
     vote histories, each rebuilt vote by vote."""
@@ -506,13 +492,13 @@ def brute_force_majority_a(config):
         if 2 * votes.count(StateOfNature.A) < n:
             continue
         try:
-            history = VoteHistory.from_votes(config, votes)
+            ll_a, ll_b = history_loglik(config, votes)
         except DomainError as exc:
             # an earlier vote was impossible under both states
             assert "probability zero" in str(exc)
             continue
-        mass_a += math.exp(history.loglik_A)
-        mass_b += math.exp(history.loglik_B)
+        mass_a += math.exp(ll_a)
+        mass_b += math.exp(ll_b)
     return mass_a, mass_b
 
 
@@ -900,10 +886,6 @@ def test_level_walk_equals_the_walk_before_bit_for_bit(orders, theta, tie_break,
     after = jury._level_walk(orders, theta, tie_break, np.ones((2, count)),
                              jury._mean_split)
     assert all(np.array_equal(x, y) for x, y in zip(before, after))
-    # the scalar step VoteHistory and ThresholdTable take, at the root
-    for a in orders[0].tolist():
-        assert ([float(x) for x in _juror_step(a, theta, tie_break)]
-                == [float(x) for x in juror_step_before(a, theta, tie_break)])
     if n_a + n_b == 0:
         return
     w_a, w_b = np.full(count, n_a), np.full(count, n_b)

@@ -559,6 +559,53 @@ class TestTabulatedRoundTrip:
                                    rtol=0.0, atol=1e-12)
 
 
+def logistic_mixture_cdf(bumps):
+    """A smooth CDF on [-1, 1]: the weighted mixture of logistic CDFs with
+    the given (centre, scale, weight), each cut to [-1, 1] and
+    renormalized there."""
+    total = sum(w for _, _, w in bumps)
+
+    def h(t):
+        t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+        out = np.zeros_like(t)
+        for c, s, w in bumps:
+            lo, hi = (1.0 / (1.0 + math.exp((c - x) / s)) for x in (-1.0, 1.0))
+            out += w / total * (1.0 / (1.0 + np.exp((c - t) / s)) - lo) / (hi - lo)
+        return out
+    return h
+
+
+@st.composite
+def state_a_bumps(draw):
+    """1 to 4 logistic bumps, each centred right of 0 (log-uniform in
+    [1e-4, 1]): a bump's density is then larger at u than at -u for
+    u > 0, so the mixture has H(t) + H(-t) < 1 inside (-1, 1), as a
+    state-A signal CDF does.  That keeps alpha above theta there and the
+    odds denominator positive.  A centre near 1e-4 gives an almost
+    symmetric H and a small denominator."""
+    return draw(st.lists(st.tuples(st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e),
+                                   st.floats(0.05, 1.0), st.floats(0.1, 1.0)),
+                         min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bumps=state_a_bumps(),
+       theta=st.one_of(st.floats(-12.0, math.log10(0.5)).map(lambda e: 10.0 ** e),
+                       st.floats(-3.0, math.log10(0.5)).map(lambda e: 1.0 - 10.0 ** e)))
+def test_alpha_determines_h_at_any_prior(bumps, theta):
+    """The paper's uniqueness result as a round trip: H -> alpha =
+    posterior_tail(H, ., Prior(theta)) -> solve_odds gives back H.  The
+    bound scales as 1/(1 - theta) because 1 - alpha loses digits as
+    theta -> 1.  Over a sweep of centres, scales and priors the error
+    reached 3e-9 at theta = 0.999 and 6e-12 at theta = 0.001, both with
+    centres at 1e-4 and at most 0.06 of the bound."""
+    prior = Prior(theta)
+    h = logistic_mixture_cdf(bumps)
+    solved = solve_odds(lambda t: posterior_tail(h, t, prior), prior)
+    grid = check_grid(1001)
+    assert np.abs(solved(grid) - h(grid)).max() <= 1e-10 / (1.0 - theta)
+
+
 class TestSolvedCdfBehavior:
     def test_provenance_tags(self):
         assert solve_balanced(LinearAbility(0.5, 0.5)).provenance \
@@ -663,6 +710,27 @@ def in_place_linear(theta, a):
     return alpha
 
 
+def affine_pairs():
+    """The same (gamma, delta) pair twice: pure, and computed in place
+    into an array argument."""
+    def pure_gamma(t):
+        return np.asarray(cdf_given_A(0.6, -t)) - 0.4 * np.asarray(cdf_given_A(0.6, t))
+
+    def in_place_delta(t):
+        t *= 0.0
+        t += 0.4
+        return t
+
+    def in_place_gamma(t):
+        values = pure_gamma(np.asarray(t, dtype=float))
+        t *= 0.0
+        t += values
+        return t
+
+    return (CoefficientPair(pure_gamma, lambda t: np.full(np.shape(t), 0.4)),
+            CoefficientPair(in_place_gamma, in_place_delta))
+
+
 def read_only(values):
     out = np.array(values, dtype=float)
     out.flags.writeable = False
@@ -722,30 +790,26 @@ class TestCheckGrid:
                                                     check_grid(grid_size)).tobytes()
 
     def test_coefficients_that_update_their_argument_match_pure_ones(self):
-        def pure_gamma(t):
-            return np.asarray(cdf_given_A(0.6, -t)) - 0.4 * np.asarray(cdf_given_A(0.6, t))
-
-        def in_place_delta(t):
-            t *= 0.0
-            t += 0.4
-            return t
-
-        def in_place_gamma(t):
-            values = pure_gamma(np.asarray(t, dtype=float))
-            t *= 0.0
-            t += values
-            return t
-
-        pure = solve_affine_pair(CoefficientPair(pure_gamma, lambda t: np.full(np.shape(t), 0.4)),
-                                 grid_size=101)
-        impure = solve_affine_pair(CoefficientPair(in_place_gamma, in_place_delta),
-                                   grid_size=101)
+        pure_pair, in_place_pair = affine_pairs()
+        pure = solve_affine_pair(pure_pair, grid_size=101)
+        impure = solve_affine_pair(in_place_pair, grid_size=101)
         assert impure.max_residual == pure.max_residual
         assert impure.is_valid_cdf == pure.is_valid_cdf
         t = read_only(GRID_201)
         assert impure(t).tobytes() == pure(t).tobytes()
-        pair = CoefficientPair(in_place_gamma, in_place_delta)
-        assert pair.singularity_gap(101) == (0.84, -1.0)
+        assert in_place_pair.singularity_gap(101) == (0.84, -1.0)
+
+    @pytest.mark.parametrize("n", [5, 1001])
+    @pytest.mark.parametrize("solve, inputs", [
+        (lambda alpha: solve_odds(alpha, Prior(0.3)),
+         (LinearAbility(0.3, 0.7), in_place_linear(0.3, 0.7))),
+        (solve_affine_pair, affine_pairs()),
+    ], ids=["odds", "affine"])
+    def test_evaluator_leaves_a_writable_argument_alone(self, solve, inputs, n):
+        pure, impure = (solve(x) for x in inputs)
+        t = np.linspace(-1.0, 1.0, n)
+        assert impure(t).tobytes() == pure(read_only(t)).tobytes()
+        assert t.tobytes() == np.linspace(-1.0, 1.0, n).tobytes()
 
 
 def same(x, y):
