@@ -85,14 +85,8 @@ class Affine(AlphaSpec):
     slope: float
 
     def __post_init__(self) -> None:
-        try:
-            b = float(self.intercept)
-            a = float(self.slope)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError(
-                f"intercept and slope must be numbers, got {self.intercept!r} "
-                f"and {self.slope!r}"
-            ) from None
+        b = _number(self.intercept, "intercept")
+        a = _number(self.slope, "slope")
         if not a > 0.0:
             raise DomainError(f"slope must be positive, got {self.slope!r}")
         if not 0.0 < b - a < 1.0:
@@ -261,6 +255,14 @@ class SolvedCdf:
     on the check grid, which equal the evaluator's there bit for bit: it
     records whether they are nondecreasing and pinned to 0 and 1 at the
     endpoints.
+
+    ``evaluator`` takes a read-only float array of at least one
+    dimension (1-d for a scalar or a list of points) and returns a float
+    array of the same shape.  Calling the SolvedCdf adapts any input to
+    it: a scalar or 0-d array gives a float, anything else an array.  As
+    the view is read-only, a callable inside the evaluator that writes
+    into its argument takes ``evaluate_on``'s scalar loop instead of
+    overwriting the caller's t.
     """
 
     evaluator: Callable
@@ -269,8 +271,11 @@ class SolvedCdf:
     is_valid_cdf: bool
 
     def __call__(self, t):
-        out = np.asarray(self.evaluator(t), dtype=float)
-        return out if out.ndim else float(out)
+        t = np.asarray(t, dtype=float)
+        view = np.atleast_1d(t).view()
+        view.flags.writeable = False
+        out = self.evaluator(view)
+        return float(out[0]) if t.ndim == 0 else out
 
     @staticmethod
     def from_table(points: Sequence[tuple[float, float]]) -> "SolvedCdf":
@@ -279,10 +284,7 @@ class SolvedCdf:
         ts, hs = _knot_arrays(points, "H")
         if not np.isfinite(hs).all():
             raise DomainError("tabulated H values must be finite")
-
-        def evaluator(t, _ts=ts, _hs=hs):
-            return np.interp(np.asarray(t, dtype=float), _ts, _hs)
-
+        evaluator = functools.partial(np.interp, xp=ts, fp=hs)
         return SolvedCdf(
             evaluator=evaluator,
             provenance=Provenance.GRID_NUMERIC,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -40,42 +39,27 @@ from .solvers import (
 _H_KEYWORDS = ("odds", "balanced", "closed-form", "decomposition")
 
 
-@dataclass(frozen=True)
-class CommandSpec:
-    """The fully resolved parameters of one CLI run.
-
-    Serialized (sorted keys, no timestamps) into the output header so
-    any emitted file states exactly how to regenerate itself.
-    """
-
-    subcommand: str
-    output_format: str
-    params: dict
-
-    def echo(self) -> str:
-        doc = {
-            "format": self.output_format,
-            "params": self.params,
-            "subcommand": self.subcommand,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def _fmt17(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
 
 
-def _emit(spec: CommandSpec, columns, rows, comments=(), extra_metadata=None) -> None:
+def _emit(subcommand: str, output_format: str, params: dict, columns, rows,
+          comments=(), extra_metadata=None) -> None:
+    """Write the header and rows of one run.  The header carries the fully
+    resolved spec (sorted keys, no timestamps), so any emitted file states
+    exactly how to regenerate itself."""
+    spec = {"format": output_format, "params": params, "subcommand": subcommand}
     # one write: click.echo flushes on every call
-    if spec.output_format == "csv":
-        lines = [f"# tailbalance {__version__} {spec.echo()}", ",".join(columns)]
+    if output_format == "csv":
+        echo = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+        lines = [f"# tailbalance {__version__} {echo}", ",".join(columns)]
         lines.extend(",".join([_fmt17(v) for v in row]) for row in rows)
         lines.extend(f"# {comment}" for comment in comments)
         click.echo("\n".join(lines))
     else:
-        metadata = {"version": __version__, "spec": json.loads(spec.echo())}
+        metadata = {"version": __version__, "spec": spec}
         if extra_metadata:
             metadata.update(extra_metadata)
         doc = {"metadata": metadata, "columns": list(columns), "rows": list(rows)}
@@ -213,15 +197,16 @@ def _emit_verdicts(subcommand: str, output_format: str, config: JuryConfig,
                    verdicts, **params) -> None:
     """Write (ordering, p_correct, method, stderr) rows under a spec holding
     the jury's abilities, theta and tie rule plus ``params``."""
-    spec = CommandSpec(subcommand, output_format, {
+    params = {
         "abilities": list(config.abilities),
         "theta": config.prior.theta,
         "tie_break": config.tie_break.value,
         **params,
-    })
+    }
     rows = [[_ordering_str(ordering), float(p), method, float(stderr)]
             for ordering, p, method, stderr in verdicts]
-    _emit(spec, ["ordering", "p_correct", "method", "stderr"], rows)
+    _emit(subcommand, output_format, params, ["ordering", "p_correct", "method", "stderr"],
+          rows)
 
 
 _config_option = click.option("--config", "config_path", type=str, default=None,
@@ -298,17 +283,16 @@ def solve(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
         click.echo(f"refused: the solved H is not a valid CDF (H(-1) = {_fmt17(h(-1.0))}, "
                    f"H(+1) = {_fmt17(h(1.0))})", err=True)
         sys.exit(2)
-    spec = CommandSpec("solve", output_format, {
+    params = {
         "alpha": alpha.to_json(),
         "theta": prior.theta,
         "h": h_source,
         "grid": grid,
         "allow_uniform_limit": bool(allow_uniform_limit),
-    })
+    }
     ts = np.linspace(-1.0, 1.0, grid)
-    hs = np.asarray(h(ts), dtype=float)
-    rows = [[float(t), float(v)] for t, v in zip(ts, hs)]
-    _emit(spec, ["t", "H"], rows)
+    rows = [[float(t), float(v)] for t, v in zip(ts, h(ts))]
+    _emit("solve", output_format, params, ["t", "H"], rows)
 
 
 @cli.command()
@@ -332,19 +316,20 @@ def verify(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
                                             intercept, slope)
     h = _resolve_h(h_source, alpha, prior, linear_a, allow_uniform_limit)
     report = residual_check(h, alpha, prior, grid)
-    spec = CommandSpec("verify", output_format, {
+    params = {
         "alpha": alpha.to_json(),
         "theta": prior.theta,
         "h": h_source,
         "grid": grid,
         "tol": tol,
-    })
+    }
     rows = [[float(t), float(hv), float(av), float(rv)]
             for t, hv, av, rv in zip(report.t, report.h, report.alpha,
                                      report.residual)]
     summary = (f"max_residual {_fmt17(report.max_residual)} "
                f"at t={_fmt17(report.argmax_t)}")
-    _emit(spec, ["t", "H", "alpha", "residual"], rows, comments=[summary],
+    _emit("verify", output_format, params, ["t", "H", "alpha", "residual"], rows,
+          comments=[summary],
           extra_metadata={"max_residual": report.max_residual,
                           "argmax_t": report.argmax_t})
     if not report.max_residual <= tol:
@@ -372,11 +357,9 @@ def sample(config_path, ability, state, count, seed, output_format):
     seed_val = _pick(seed, cfg, "seed", 0)
     draws = sample_signal(a, StateOfNature[state], count, seed_val)
     # both values passed sample_signal's checks
-    spec = CommandSpec("sample", output_format, {
-        "a": float(a), "state": state, "n": int(count), "seed": int(seed_val),
-    })
+    params = {"a": float(a), "state": state, "n": int(count), "seed": int(seed_val)}
     rows = [[i, float(s)] for i, s in enumerate(draws)]
-    _emit(spec, ["i", "signal"], rows)
+    _emit("sample", output_format, params, ["i", "signal"], rows)
 
 
 @cli.command()
@@ -400,13 +383,13 @@ def posterior(config_path, ability, theta, signal, grid, output_format):
             raise click.UsageError(f"--grid must be at least 2, got {grid}")
         ts = np.linspace(-1.0, 1.0, grid)
     ps = np.asarray(posterior_from_signal(a, ts, prior), dtype=float)
-    spec = CommandSpec("posterior", output_format, {
+    params = {
         "a": float(a), "theta": prior.theta,
         "s": None if signal is None else float(signal),
         "grid": int(grid),
-    })
+    }
     rows = [[float(t), float(p)] for t, p in zip(ts, ps)]
-    _emit(spec, ["t", "posterior"], rows)
+    _emit("posterior", output_format, params, ["t", "posterior"], rows)
 
 
 @cli.command()
@@ -463,11 +446,9 @@ def condorcet(config_path, p_value, n_max, output_format):
     cfg = _load_config(config_path)
     largest = CondorcetModel(_require(p_value, cfg, "p"), _pick(n_max, cfg, "n_max", 101))
     curve = condorcet_curve(largest.p, largest.n)
-    spec = CommandSpec("condorcet", output_format, {
-        "p": largest.p, "n_max": largest.n,
-    })
     rows = [[int(n), float(v)] for n, v in curve]
-    _emit(spec, ["n", "p_correct"], rows)
+    _emit("condorcet", output_format, {"p": largest.p, "n_max": largest.n},
+          ["n", "p_correct"], rows)
 
 
 def main(argv=None):

@@ -201,13 +201,14 @@ def sample_signal(
     """
     a = _check_ability(ability)
     _check_state(state)
-    if int(size) < 0:
+    n = _integer(size, "size")
+    if n < 0:
         raise DomainError(f"size must be non-negative, got {size!r}")
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
         rng = np.random.default_rng(None if seed is None else _check_seed(seed))
-    u = rng.random(int(size))
+    u = rng.random(n)
     return np.asarray(quantile_given_state(a, u, state), dtype=float)
 
 

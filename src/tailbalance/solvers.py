@@ -19,10 +19,12 @@ H values, residual and validity come from those arrays through the same
 H formula the returned evaluator runs, so they equal bit for bit what a
 fresh ``residual_check`` of the evaluator reports.  The closed forms
 and the decomposition solver check their evaluator with
-``residual_check``.  Every check grid comes from ``check_grid``, built
-once per size and shared read-only.  On the default 1001-point grid a
-call costs about 70-130 us in process (2-CPU x86, numpy 2.4), mostly
-fixed numpy dispatch over a dozen or so array operations.
+``residual_check``.  Each evaluator is a bare array-in/array-out core;
+``SolvedCdf`` adapts scalars, lists and 0-d arrays to it.  Every check
+grid comes from ``check_grid``, built once per size and shared
+read-only.  On the default 1001-point grid a call costs about 70-130 us
+in process (2-CPU x86, numpy 2.4), mostly fixed numpy dispatch over a
+dozen or so array operations.
 
 Every formula is evaluated in its alpha form.  The equivalent
 odds-transform form divides by 1 - alpha(t), which is 0 at t = +1
@@ -64,29 +66,12 @@ DEFAULT_GRID = 1001
 _BALANCED_PRIOR = Prior(0.5)
 
 
-def _vec(core):
-    """Wrap an array-in/array-out core so scalars pass through cleanly.
-
-    ``core`` gets a read-only view of the caller's array, as a solver
-    gets ``check_grid``: a callable inside it that writes into its
-    argument takes ``evaluate_on``'s scalar loop instead of overwriting
-    the caller's t.
-    """
-
-    def evaluator(t):
-        t = np.asarray(t, dtype=float)
-        view = np.atleast_1d(t).view()
-        view.flags.writeable = False
-        out = core(view)
-        return float(out[0]) if t.ndim == 0 else out
-
-    return evaluator
-
-
 def _uniform_solution(provenance: Provenance, alpha: AlphaSpec, prior: Prior,
                       grid_size: int) -> SolvedCdf:
-    evaluator = _vec(lambda t: (np.minimum(np.maximum(t, -1.0), 1.0) + 1.0) / 2.0)
-    return _finish(evaluator, provenance, residual_check(evaluator, alpha, prior, grid_size))
+    def core(t):
+        return (np.minimum(np.maximum(t, -1.0), 1.0) + 1.0) / 2.0
+
+    return _finish(core, provenance, residual_check(core, alpha, prior, grid_size))
 
 
 def _finish(evaluator, provenance: Provenance, report: ResidualReport) -> SolvedCdf:
@@ -173,7 +158,7 @@ def solve_affine_pair(coeffs: CoefficientPair, *,
     h_neg = h(g_neg, g_pos, d_pos, gap)
     residual = np.abs(h_neg - g_pos - d_pos * h_pos)
     return SolvedCdf(
-        evaluator=_vec(core),
+        evaluator=core,
         provenance=Provenance.AFFINE_PAIR,
         max_residual=float(residual.max()),
         is_valid_cdf=cdf_values_ok(h_pos),
@@ -251,7 +236,7 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
     # evaluates alpha at -(-grid), which is grid exactly
     report = _report(grid, h(a_pos, a_neg, den), h(a_neg, a_pos, scaled_den(a_neg, a_pos)),
                      a_pos, prior.odds_lambda)
-    return _finish(_vec(core), Provenance.ODDS_FORMULA, report)
+    return _finish(core, Provenance.ODDS_FORMULA, report)
 
 
 def closed_form_linear_odds(a: float, prior: Prior, *,
@@ -288,9 +273,7 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
             out *= a / (a + (lam - 1.0) * (a * a / 4.0) * (1.0 - t * t))
         return out
 
-    evaluator = _vec(core)
-    return _finish(evaluator, Provenance.CLOSED_FORM_LINEAR,
-                   residual_check(evaluator, alpha, prior, n))
+    return _finish(core, Provenance.CLOSED_FORM_LINEAR, residual_check(core, alpha, prior, n))
 
 
 def decomposition_parts(a: float):
@@ -328,11 +311,10 @@ def alt_decomposition_solver(a: float, *,
     f, g = decomposition_parts(a)
 
     def core(t):
-        return (np.asarray(f(t), dtype=float) + np.asarray(g(t), dtype=float)) / 2.0
+        return (f(t) + g(t)) / 2.0
 
-    evaluator = _vec(core)
-    return _finish(evaluator, Provenance.DECOMPOSITION,
-                   residual_check(evaluator, LinearAbility(0.5, float(a)), _BALANCED_PRIOR,
+    return _finish(core, Provenance.DECOMPOSITION,
+                   residual_check(core, LinearAbility(0.5, float(a)), _BALANCED_PRIOR,
                                   _check_grid_size(grid_size)))
 
 

@@ -63,9 +63,9 @@ class TestAffine:
             Affine(intercept=0.9, slope=0.3)
 
     def test_rejects_non_numbers(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^intercept must be a number, got 'x'$"):
             Affine(intercept="x", slope=0.2)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^slope must be a number, got None$"):
             Affine(intercept=0.6, slope=None)
 
     def test_json_roundtrip(self):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -10,6 +12,24 @@ RUN = [sys.executable, "-m", "tailbalance"]
 
 
 def run_cli(*args, check=None):
+    """Run ``main`` in this process; returns its exit code and output as a
+    CompletedProcess."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = exc.code or 0
+    result = subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
+    if check is not None:
+        assert result.returncode == check, result.stderr
+    return result
+
+
+def run_module(*args, check=None):
+    """``python -m tailbalance`` in a child process, for the entry point
+    itself."""
     result = subprocess.run(RUN + list(args), capture_output=True, text=True)
     if check is not None:
         assert result.returncode == check, result.stderr
@@ -338,7 +358,9 @@ class TestWrongTypedConfig:
         ("condorcet", {"n_max": "x", "p": 0.6}, "error: n must be an integer, got 'x'"),
         ("condorcet", {"n_max": 5.9, "p": 0.6}, "error: n must be an integer, got 5.9"),
         ("solve", {"kind": "affine", "intercept": "x", "slope": 0.2},
-         "error: intercept and slope must be numbers, got 'x' and 0.2"),
+         "error: intercept must be a number, got 'x'"),
+        ("solve", {"kind": "affine", "intercept": 0.6, "slope": "x"},
+         "error: slope must be a number, got 'x'"),
         ("solve", {"kind": "table", "points": 5},
          "error: points must be (t, alpha) pairs: 'int' object is not iterable"),
     ])
@@ -406,17 +428,40 @@ class TestNaNInputs:
                       "error: tabulated H values must be finite", capsys)
 
 
+class TestSpecHeader:
+    @pytest.mark.parametrize("args", [
+        ["solve", "--a", "0.8", "--grid", "5"],
+        ["verify", "--theta", "0.4", "--a", "0.6", "--h", "closed-form", "--grid", "5"],
+        ["sample", "--a", "0.5", "--state", "B", "--n", "3", "--seed", "1"],
+        ["posterior", "--a", "0.5", "--s", "0.5"],
+        ["simulate", "--abilities", "0.5,0.9,0.1", "--trials", "100", "--seed", "3",
+         "--conditional"],
+        ["exact", "--abilities", "0.5,0.9,0.1", "--theta", "0.4"],
+        ["order-scan", "--abilities", "0.9,0.5,0.1", "--tie-break", "vote_a"],
+        ["condorcet", "--p", "0.6", "--n-max", "5"],
+    ], ids=lambda args: args[0])
+    def test_csv_header_spec_equals_json_metadata_spec(self, args):
+        csv_out = run_cli(*args, check=0)
+        json_out = run_cli(*args, "--format", "json", check=0)
+        version, csv_spec = header_spec(csv_out.stdout)
+        metadata = json.loads(json_out.stdout)["metadata"]
+        assert version == metadata["version"]
+        assert csv_spec == {**metadata["spec"], "format": "csv"}
+        assert metadata["spec"]["format"] == "json"
+        assert metadata["spec"]["subcommand"] == args[0]
+
+
 class TestEntryPoint:
     def test_version_flag(self):
-        result = run_cli("--version", check=0)
+        result = run_module("--version", check=0)
         assert "tailbalance" in result.stdout
 
     def test_unknown_command_exits_one(self):
-        result = run_cli("frobnicate")
+        result = run_module("frobnicate")
         assert result.returncode != 0
 
     def test_help_lists_subcommands(self):
-        result = run_cli("--help", check=0)
+        result = run_module("--help", check=0)
         for name in ("solve", "verify", "sample", "posterior", "simulate",
                      "exact", "order-scan", "condorcet"):
             assert name in result.stdout

@@ -173,6 +173,11 @@ class TestSampling:
         second = sample_signal(0.4, StateOfNature.B, 10, seed=rng2)
         np.testing.assert_array_equal(first, second)
 
+    @pytest.mark.parametrize("size", [2.9, "x", None, -1])
+    def test_rejects_a_size_that_is_not_a_count(self, size):
+        with pytest.raises(DomainError, match="size must be"):
+            sample_signal(0.4, StateOfNature.A, size, seed=1)
+
     @pytest.mark.parametrize("seed", ["x", [1], -1, 2**64])
     def test_rejects_seed_outside_the_64_bit_range(self, seed):
         with pytest.raises(DomainError):

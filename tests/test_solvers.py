@@ -804,12 +804,23 @@ class TestCheckGrid:
         (lambda alpha: solve_odds(alpha, Prior(0.3)),
          (LinearAbility(0.3, 0.7), in_place_linear(0.3, 0.7))),
         (solve_affine_pair, affine_pairs()),
-    ], ids=["odds", "affine"])
+        (closed_form_linear, (0.7, 0.7)),
+        (closed_form_linear, (0.0, 0.0)),
+        (lambda a: closed_form_linear_odds(a, Prior(0.3)), (0.7, 0.7)),
+        (alt_decomposition_solver, (0.7, 0.7)),
+        (SolvedCdf.from_table, ([(-1.0, 0.0), (0.2, 0.45), (1.0, 1.0)],) * 2),
+    ], ids=["odds", "affine", "closed-form", "uniform", "closed-form-odds",
+            "decomposition", "table"])
     def test_evaluator_leaves_a_writable_argument_alone(self, solve, inputs, n):
         pure, impure = (solve(x) for x in inputs)
         t = np.linspace(-1.0, 1.0, n)
         assert impure(t).tobytes() == pure(read_only(t)).tobytes()
         assert t.tobytes() == np.linspace(-1.0, 1.0, n).tobytes()
+        for solved in (pure, impure):
+            scalar, zero_d, listed = solved(0.25), solved(np.asarray(0.25)), solved([0.25, 0.5])
+            assert type(scalar) is float and type(zero_d) is float
+            assert isinstance(listed, np.ndarray) and listed.shape == (2,)
+            assert scalar == zero_d == listed[0]
 
 
 def same(x, y):
