@@ -318,15 +318,16 @@ def evaluate_on(fn: Callable, grid: np.ndarray) -> np.ndarray:
     """Evaluate a callable on a grid, falling back to a scalar loop.
 
     A callable that writes into a read-only grid (``check_grid``) raises
-    ValueError and so takes the scalar loop; a read-only result, such as
-    the grid itself handed back, is copied.
+    ValueError and so takes the scalar loop, which visits every element
+    whatever the grid's shape; a read-only result, such as the grid
+    itself handed back, is copied.
     """
     try:
         out = np.asarray(fn(grid), dtype=float)
     except (TypeError, ValueError):
         out = None
     if out is None or out.shape != grid.shape:
-        out = np.array([float(fn(float(x))) for x in grid])
+        out = np.array([float(fn(float(x))) for x in grid.ravel()]).reshape(grid.shape)
     elif not out.flags.writeable:
         out = out.copy()
     return out

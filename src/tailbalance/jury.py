@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.stats import binom
 
 from .alpha import EQUALITY_TOL
 from .errors import DomainError, EvenJury, SizeLimit, ZeroAbility
@@ -537,8 +536,11 @@ def condorcet_exact(model: CondorcetModel) -> float:
 
     The binomial upper tail P(X > n/2); evaluated by the regularized
     incomplete beta function, which neither overflows nor loses the tail
-    for n up to 10**4.
+    for n up to 10**4.  ``scipy.stats`` is imported on the first call of
+    a ``condorcet_*`` function; ``import tailbalance`` does not load it.
     """
+    from scipy.stats import binom
+
     return float(binom.sf(model.n // 2, model.n, model.p))
 
 
@@ -548,13 +550,19 @@ def condorcet_error(model: CondorcetModel) -> float:
     Useful when the success probability saturates to 1.0 in double
     precision (large n, strong p): the error tail stays representable
     far beyond that point, so monotonicity can still be observed.
+    Imports ``scipy.stats`` on first use, as ``condorcet_exact`` does.
     """
+    from scipy.stats import binom
+
     return float(binom.cdf(model.n // 2, model.n, model.p))
 
 
 def condorcet_curve(p: float, n_max: int) -> list[tuple[int, float]]:
     """(n, majority accuracy) for every odd n up to n_max, which must
-    make a valid ``CondorcetModel`` with p."""
+    make a valid ``CondorcetModel`` with p.  Imports ``scipy.stats`` on
+    first use, as ``condorcet_exact`` does."""
+    from scipy.stats import binom
+
     largest = CondorcetModel(p, n_max)
     ns = np.arange(1, largest.n + 1, 2)
     vals = binom.sf(ns // 2, ns, largest.p)

@@ -72,18 +72,23 @@ def _check_prior(prior: Prior) -> Prior:
 
 
 def _number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    """``value`` as a float; raises DomainError for a non-number.  A
+    boolean (Python or numpy) is refused rather than read as 1 or 0, so
+    a JSON ``true`` in a CLI ``--config`` is not taken for a value."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DomainError(f"{name} must be a number, got {value!r}")
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; raises DomainError for a non-number or a
-    number with a fractional part.  An integral float such as 1000.0
-    and a digit string such as '7' pass."""
+    """``value`` as an int; raises DomainError for a non-number, a
+    boolean or a number with a fractional part.  An integral float such
+    as 1000.0 and a digit string such as '7' pass."""
     try:
-        number = int(value)
+        number = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (number != value and not isinstance(value, str)):

@@ -353,9 +353,13 @@ def _report(grid: np.ndarray, h_pos: np.ndarray, h_neg: np.ndarray,
     hands in the values it already has."""
     num, den, ratio = _tail_ratio(h_pos, h_neg, lam)
     ratio[(den == 0.0) & (num == 0.0)] = 1.0
-    target = a_vals.copy()
-    target[-1] = 1.0
-    residual = np.abs(ratio - target)
+    # |ratio - alpha|, and |ratio - 1| at t = +1, written into ratio: on a
+    # 20001-point grid each further array is about 40 fresh pages, which
+    # glibc hands back to the OS after every call and faults in again
+    last = ratio[-1]
+    residual = np.subtract(ratio, a_vals, out=ratio)
+    residual[-1] = last - 1.0
+    np.abs(residual, out=residual)
     i = int(residual.argmax())
     return ResidualReport(
         t=grid,

@@ -363,6 +363,13 @@ class TestWrongTypedConfig:
          "error: slope must be a number, got 'x'"),
         ("solve", {"kind": "table", "points": 5},
          "error: points must be (t, alpha) pairs: 'int' object is not iterable"),
+        # a JSON true is not read as 1
+        ("simulate", {"abilities": [True, 0.5, 0.6], "trials": True},
+         "error: ability must be a number, got True"),
+        ("simulate", {"abilities": [0.4, 0.5, 0.6], "trials": True},
+         "error: trials must be an integer, got True"),
+        ("condorcet", {"p": True}, "error: p must be a number, got True"),
+        ("condorcet", {"p": 0.6, "n_max": False}, "error: n must be an integer, got False"),
     ])
     def test_exits_one_with_one_error_line(self, command, config, line, tmp_path,
                                            capsys):

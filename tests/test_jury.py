@@ -1,6 +1,8 @@
 import itertools
 import math
 import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -91,6 +93,22 @@ class TestJuryConfig:
             make_config((0.5,), seed=2.5)
         with pytest.raises(DomainError, match="n must be an integer, got 5.9"):
             CondorcetModel(0.6, 5.9)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_booleans_are_not_numbers(self, flag):
+        shown = repr(flag)
+        with pytest.raises(DomainError, match=f"^ability must be a number, got {shown}$"):
+            JuryConfig(abilities=(flag, 0.5, 0.6), prior=Prior(0.5))
+        with pytest.raises(DomainError, match=f"^trials must be an integer, got {shown}$"):
+            make_config((0.5,), trials=flag)
+        with pytest.raises(DomainError, match=f"^seed must be an integer, got {shown}$"):
+            make_config((0.5,), seed=flag)
+        with pytest.raises(DomainError, match=f"^p must be a number, got {shown}$"):
+            CondorcetModel(flag, 5)
+        with pytest.raises(DomainError, match=f"^n must be an integer, got {shown}$"):
+            CondorcetModel(0.6, flag)
+        with pytest.raises(DomainError, match=f"^theta must be a number, got {shown}$"):
+            Prior(flag)
 
     @pytest.mark.parametrize("fields", [
         {"abilities": [0.5], "theta": None},
@@ -378,6 +396,33 @@ class TestOrderScan:
             order_scan((0.5,), HALF)
         with pytest.raises(DomainError, match="ability must be a number, got 'x'"):
             order_scan((0.5, "x", 0.7), HALF)
+
+
+IMPORT_BOUNDARY = """
+import sys
+
+import tailbalance
+from tailbalance import (CondorcetModel, JuryConfig, LinearAbility, Prior, condorcet_exact,
+                         exact_verdict_probability, monte_carlo_verdict, solve_odds)
+
+solve_odds(LinearAbility(0.3, 0.7), Prior(0.3))(0.2)
+config = JuryConfig(abilities=(0.5, 0.6, 0.7), prior=Prior(0.4), trials=1000)
+exact_verdict_probability(config)
+monte_carlo_verdict(config)
+monte_carlo_verdict(config, conditional=True)
+assert "scipy.stats" not in sys.modules, "scipy.stats loaded before a condorcet_* call"
+value = condorcet_exact(CondorcetModel(0.6, 101))
+assert "scipy.stats" in sys.modules
+import scipy.stats
+assert value == float(scipy.stats.binom.sf(50, 101, 0.6)), value
+"""
+
+
+def test_only_condorcet_loads_scipy_stats():
+    # a fresh interpreter: this one may have scipy.stats loaded already
+    result = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestCondorcet:

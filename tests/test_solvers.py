@@ -789,6 +789,22 @@ class TestCheckGrid:
         assert check.alpha.tobytes() == evaluate_on(LinearAbility(theta, a),
                                                     check_grid(grid_size)).tobytes()
 
+    @pytest.mark.parametrize("t", [[[0.1], [0.2]],
+                                   np.linspace(-1.5, 1.5, 24).reshape(2, 3, 4)],
+                             ids=["nested-list", "3-d"])
+    def test_in_place_alpha_on_a_multi_dimensional_input(self, t):
+        # the scalar loop visits every element, not only the first axis
+        prior = Prior(0.3)
+        pure = solve_odds(LinearAbility(0.3, 0.7), prior, grid_size=101)
+        impure = solve_odds(in_place_linear(0.3, 0.7), prior, grid_size=101)
+        got, expected = impure(t), pure(t)
+        assert expected.shape == np.shape(t)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        pure_pair, in_place_pair = affine_pairs()
+        expected = solve_affine_pair(pure_pair, grid_size=101)(t)
+        got = solve_affine_pair(in_place_pair, grid_size=101)(t)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
     def test_coefficients_that_update_their_argument_match_pure_ones(self):
         pure_pair, in_place_pair = affine_pairs()
         pure = solve_affine_pair(pure_pair, grid_size=101)
