@@ -65,8 +65,12 @@ class LinearAbility(AlphaSpec):
         object.__setattr__(self, "a", _check_ability(self.a))
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self.theta + (t + 1.0) * (1.0 - self.theta) * self.a / 2.0
+        # theta + (t + 1) * (1 - theta) * a / 2, step by step in one array
+        out = np.asarray(t, dtype=float) + 1.0
+        out *= 1.0 - self.theta
+        out *= self.a
+        out /= 2.0
+        out += self.theta
         return out if out.ndim else float(out)
 
     def to_json(self) -> dict:

@@ -120,8 +120,18 @@ def _cdf_on_support(a, t, sign, out=None):
     in IEEE arithmetic, so each state rounds as its formula written out
     does.  ``a`` and ``sign`` broadcast against ``t``, so a column of
     both signs gives both states' rows from one t + 1 and one a*t - a.
+
+    The middle steps write into an array this call allocated, in the
+    formula's own operand order, so the values are the written-out
+    formula's bit for bit while at most two such arrays are live; only
+    the last writes ``out``, which for the jury is a strided view that
+    every further pass over it would cost.  A 0-d ``t`` gives numpy
+    scalars, which the augmented operators rebind instead of writing.
     """
-    return np.divide((t + 1.0) * (sign * (a * t - a) + 2.0), 4.0, out=out)
+    p = sign * (a * t - a)
+    p += 2.0
+    p *= t + 1.0
+    return np.divide(p, 4.0, out=out)
 
 
 def _quantile_A_on_support(a, u):

@@ -18,13 +18,28 @@ check grid and once on its mirror, besides its alpha(-1) probe, and
 H values, residual and validity come from those arrays through the same
 H formula the returned evaluator runs, so they equal bit for bit what a
 fresh ``residual_check`` of the evaluator reports.  The closed forms
-and the decomposition solver check their evaluator with
-``residual_check``.  Each evaluator is a bare array-in/array-out core;
+and the decomposition solver check their evaluator as
+``residual_check`` does, on the shared grid itself.  Each evaluator is a bare array-in/array-out core;
 ``SolvedCdf`` adapts scalars, lists and 0-d arrays to it.  Every check
 grid comes from ``check_grid``, built once per size and shared
 read-only.  On the default 1001-point grid a call costs about 70-130 us
 in process (2-CPU x86, numpy 2.4), mostly fixed numpy dispatch over a
 dozen or so array operations.
+
+Each formula writes its intermediates into arrays the call allocated,
+never into one a caller passed in or will see again, in the operand
+order of the formula written out as one expression, so every value is
+that expression's bit for bit.  What this buys shows on the 20001-point
+grid: glibc hands the freed top of the heap back to the OS after every
+call and faults it in again on the next, so a call's cost follows the
+most grid-sized arrays it holds at once.  That peak is about 5.4 arrays
+(tracemalloc), where the one-expression forms held 7.4
+(``closed_form_linear_odds``) and 8.4 (``solve_odds``).  Minor page
+faults per call (``resource.getrusage`` over 200 calls, 2-CPU x86,
+glibc, numpy 2.4): ``closed_form_linear_odds`` about 125,
+``solve_balanced`` 210, ``solve_odds`` above theta = 1/2 165, down from
+426, 280 and 327; a ``closed_form_linear_odds`` call takes about
+0.6-0.8 ms, down from 1.0-1.4 ms.
 
 Every formula is evaluated in its alpha form.  The equivalent
 odds-transform form divides by 1 - alpha(t), which is 0 at t = +1
@@ -69,9 +84,18 @@ _BALANCED_PRIOR = Prior(0.5)
 def _uniform_solution(provenance: Provenance, alpha: AlphaSpec, prior: Prior,
                       grid_size: int) -> SolvedCdf:
     def core(t):
-        return (np.minimum(np.maximum(t, -1.0), 1.0) + 1.0) / 2.0
+        out = _clamp(t)
+        out += 1.0
+        out /= 2.0
+        return out
 
-    return _finish(core, provenance, residual_check(core, alpha, prior, grid_size))
+    return _finish(core, provenance, _grid_report(core, alpha, prior, grid_size))
+
+
+def _clamp(t):
+    """``t`` clamped to [-1, +1] in a new array, NaN kept."""
+    out = np.maximum(t, -1.0)
+    return np.minimum(out, 1.0, out=out)
 
 
 def _finish(evaluator, provenance: Provenance, report: ResidualReport) -> SolvedCdf:
@@ -203,17 +227,36 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
         )
 
     def scaled_den(at, an):
+        # each form step by step in two new arrays, in its own operand
+        # order, so the values are the written-out forms' bit for bit
         if theta <= 0.5:
-            return theta * theta * (at + (an - 1.0)) + (1.0 - 2.0 * theta) * at * an
-        return (1.0 - theta) ** 2 * at * an - theta * theta * (1.0 - at) * (1.0 - an)
+            # theta**2 * (at + (an - 1)) + (1 - 2*theta) * at * an
+            den = an - 1.0
+            den += at
+            den *= theta * theta
+            cross = np.multiply(1.0 - 2.0 * theta, at)
+            cross *= an
+            den += cross
+            return den
+        # (1 - theta)**2 * at * an - theta**2 * (1 - at) * (1 - an)
+        tails = np.subtract(1.0, at)
+        tails *= theta * theta
+        den = np.subtract(1.0, an)
+        tails *= den
+        np.multiply((1.0 - theta) ** 2, at, out=den)
+        den *= an
+        den -= tails
+        return den
 
     grid = check_grid(n)
     a_pos = evaluate_on(alpha, grid)
     a_neg = evaluate_on(alpha, -grid)
     den = scaled_den(a_pos, a_neg)
-    # <=: below theta ~ 1e-154 the band underflows to 0, and a den of
-    # exactly 0 (a 0/0 in every H) must still be caught
-    if (np.abs(den) <= EQUALITY_TOL * (theta * theta)).any():
+    # |den| <= band as two comparisons, with no |den| array; <=: below
+    # theta ~ 1e-154 the band underflows to 0, and a den of exactly 0 (a
+    # 0/0 in every H) must still be caught
+    band = EQUALITY_TOL * (theta * theta)
+    if ((den <= band) & (den >= -band)).any():
         if allow_uniform_limit and np.abs(a_pos - theta).max() <= EQUALITY_TOL:
             return _uniform_solution(Provenance.ODDS_FORMULA, alpha, prior, n)
         where = float(grid[int(np.abs(den).argmin())])
@@ -222,21 +265,34 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
             "no unique solution exists there"
         )
 
-    def h(at, an, den):
+    def h(shift, an, den):
+        # theta * (at - boundary) * (1 - an) / den from shift = at -
+        # boundary, a scratch array, with the quotient written into den.
         # 1 - alpha(-t) is exact at the endpoints (Sterbenz), which pins
         # H(+1) to exactly 1 in the balanced case.
-        return theta * (at - boundary) * (1.0 - an) / den
+        shift *= theta
+        shift *= 1.0 - an
+        return np.divide(shift, den, out=den)
 
     def core(t):
         at = evaluate_on(alpha, t)
         an = evaluate_on(alpha, -t)
-        return h(at, an, scaled_den(at, an))
+        return h(at - boundary, an, scaled_den(at, an))
 
     # the evaluator's values on +grid and -grid, bit for bit: at -grid it
     # evaluates alpha at -(-grid), which is grid exactly
-    report = _report(grid, h(a_pos, a_neg, den), h(a_neg, a_pos, scaled_den(a_neg, a_pos)),
-                     a_pos, prior.odds_lambda)
-    return _finish(core, Provenance.ODDS_FORMULA, report)
+    h_pos = h(a_pos - boundary, a_neg, den)
+    den = scaled_den(a_neg, a_pos)
+    shift = a_neg - boundary
+    # dropped at their last use, a_neg and shift leave at most five
+    # grid-sized arrays live at once, not seven: glibc trims the freed
+    # heap top after each call and faults it in again on the next, and a
+    # 20001-point call faults in about 210 pages rather than 290
+    del a_neg
+    h_neg = h(shift, a_pos, den)
+    del shift
+    return _finish(core, Provenance.ODDS_FORMULA,
+                   _report(grid, h_pos, h_neg, a_pos, prior.odds_lambda))
 
 
 def closed_form_linear_odds(a: float, prior: Prior, *,
@@ -267,13 +323,18 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
     lam = prior.odds_lambda
 
     def core(t):
-        t = np.minimum(np.maximum(t, -1.0), 1.0)
+        t = _clamp(t)
         out = _cdf_on_support(a, t, 1.0)
         if lam != 1.0:  # at lambda = 1, D is exactly a and the factor exactly 1
-            out *= a / (a + (lam - 1.0) * (a * a / 4.0) * (1.0 - t * t))
+            # a / (a + (lam - 1) * (a*a/4) * (1 - t*t)), built in t's array
+            factor = np.multiply(t, t, out=t)
+            np.subtract(1.0, factor, out=factor)
+            factor *= (lam - 1.0) * (a * a / 4.0)
+            factor += a
+            out *= np.divide(a, factor, out=factor)
         return out
 
-    return _finish(core, Provenance.CLOSED_FORM_LINEAR, residual_check(core, alpha, prior, n))
+    return _finish(core, Provenance.CLOSED_FORM_LINEAR, _grid_report(core, alpha, prior, n))
 
 
 def decomposition_parts(a: float):
@@ -314,8 +375,8 @@ def alt_decomposition_solver(a: float, *,
         return (f(t) + g(t)) / 2.0
 
     return _finish(core, Provenance.DECOMPOSITION,
-                   residual_check(core, LinearAbility(0.5, float(a)), _BALANCED_PRIOR,
-                                  _check_grid_size(grid_size)))
+                   _grid_report(core, LinearAbility(0.5, float(a)), _BALANCED_PRIOR,
+                                _check_grid_size(grid_size)))
 
 
 @dataclass(frozen=True)
@@ -336,23 +397,27 @@ class ResidualReport:
 
 
 def _tail_ratio(h_pos: np.ndarray, h_neg: np.ndarray, lam: float):
-    """From H(t) and H(-t): 1 - H(t), 1 - H(t) + lambda*H(-t) and their
-    quotient, which is inf or NaN where the denominator is 0, for the
-    caller to resolve."""
-    num = 1.0 - h_pos
-    den = num + lam * h_neg
+    """From H(t) and H(-t): the quotient (1 - H(t)) / (1 - H(t) +
+    lambda*H(-t)) and its denominator, in two new arrays.  The quotient
+    is inf or NaN where the denominator is 0, for the caller to resolve;
+    there it is NaN exactly where 1 - H(t) is 0, since a NaN 1 - H(t)
+    makes the denominator NaN too."""
+    ratio = np.subtract(1.0, h_pos)
+    den = np.multiply(lam, h_neg)
+    den += ratio
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / den
-    return num, den, ratio
+        np.divide(ratio, den, out=ratio)
+    return ratio, den
 
 
 def _report(grid: np.ndarray, h_pos: np.ndarray, h_neg: np.ndarray,
             a_vals: np.ndarray, lam: float) -> ResidualReport:
     """The residual report of H on +grid and -grid against alpha on
-    +grid: ``residual_check`` and ``solve_odds``'s grid pass, which
-    hands in the values it already has."""
-    num, den, ratio = _tail_ratio(h_pos, h_neg, lam)
-    ratio[(den == 0.0) & (num == 0.0)] = 1.0
+    +grid: ``residual_check`` and the solvers' own grid passes, which
+    hand in the shared grid and, for ``solve_odds``, the values it
+    already has."""
+    ratio, den = _tail_ratio(h_pos, h_neg, lam)
+    ratio[(den == 0.0) & np.isnan(ratio)] = 1.0  # an exact 0/0
     # |ratio - alpha|, and |ratio - 1| at t = +1, written into ratio: on a
     # 20001-point grid each further array is about 40 fresh pages, which
     # glibc hands back to the OS after every call and faults in again
@@ -384,9 +449,18 @@ def residual_check(h, alpha: AlphaSpec, prior: Prior,
     """
     n = _check_grid_size(grid_size)
     _check_prior(prior)
+    return _grid_report(h, alpha, prior, n, copy=True)
+
+
+def _grid_report(h, alpha: AlphaSpec, prior: Prior, n: int, *,
+                 copy: bool = False) -> ResidualReport:
+    """``residual_check`` on the n-point grid; its ``t`` is the shared
+    read-only grid unless ``copy`` asks for a copy a caller may keep.
+    The solvers' own checks, whose reports never leave them, skip it."""
     grid = check_grid(n)
-    return _report(grid.copy(), evaluate_on(h, grid), evaluate_on(h, -grid),
-                   evaluate_on(alpha, grid), prior.odds_lambda)
+    return _report(grid.copy() if copy else grid, evaluate_on(h, grid),
+                   evaluate_on(h, -grid), evaluate_on(alpha, grid),
+                   prior.odds_lambda)
 
 
 def posterior_tail(h, t, prior: Prior):
@@ -399,13 +473,13 @@ def posterior_tail(h, t, prior: Prior):
     """
     _check_prior(prior)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _, den, ratio = _tail_ratio(evaluate_on(h, t_arr), evaluate_on(h, -t_arr),
-                                prior.odds_lambda)
+    ratio, den = _tail_ratio(evaluate_on(h, t_arr), evaluate_on(h, -t_arr),
+                             prior.odds_lambda)
     zero = den == 0.0
     interior = np.flatnonzero(zero & (t_arr < 1.0))
     if interior.size:
         raise Indeterminate(
-            f"both tails vanish at interior point t={float(t_arr[interior[0]])!r}; "
+            f"both tails vanish at interior point t={float(t_arr.flat[interior[0]])!r}; "
             "the posterior ratio is 0/0 there"
         )
     ratio[zero] = 1.0

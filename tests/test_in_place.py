@@ -1,0 +1,240 @@
+"""The solver formulas write their intermediates into arrays the call
+allocated.  Each such kernel must equal its formula written out as one
+expression, bit for bit; no write may reach an array a caller handed in
+or will see again; and a 20001-point call must hold fewer grid-sized
+arrays at its peak than the written-out expressions do."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from tailbalance import (
+    DegenerateAlpha,
+    LinearAbility,
+    Prior,
+    closed_form_linear_odds,
+    posterior_tail,
+    residual_check,
+    solve_balanced,
+    solve_odds,
+)
+from tailbalance.alpha import EQUALITY_TOL
+from tailbalance.signals import _cdf_on_support
+
+THETAS = st.one_of(st.sampled_from([1e-300, 0.5, 1.0 - 1e-16]), st.floats(1e-6, 1.0 - 1e-6))
+ABILITIES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1.0]), st.floats(0.0, 1.0))
+POINT = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.5, 1.5))
+#: 0-d, 1-d and 2-d inputs
+POINTS = hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5),
+                    elements=POINT)
+STATE_SIGN = np.array([[1.0], [-1.0]])
+LARGE = 20001
+
+
+# The kernels written out as one expression each, as they read before
+# they were rewritten in place.
+
+def cdf_formula(a, t, sign):
+    return np.divide((t + 1.0) * (sign * (a * t - a) + 2.0), 4.0)
+
+
+def clamp_formula(t):
+    return np.minimum(np.maximum(t, -1.0), 1.0)
+
+
+def linear_formula(theta, a, t):
+    t = np.asarray(t, dtype=float)
+    return theta + (t + 1.0) * (1.0 - theta) * a / 2.0
+
+
+def uniform_formula(t):
+    return (clamp_formula(t) + 1.0) / 2.0
+
+
+def closed_odds_formula(a, lam, t):
+    t = clamp_formula(t)
+    out = cdf_formula(a, t, 1.0)
+    if lam != 1.0:
+        out = out * (a / (a + (lam - 1.0) * (a * a / 4.0) * (1.0 - t * t)))
+    return out
+
+
+def den_formula(theta, at, an):
+    if theta <= 0.5:
+        return theta * theta * (at + (an - 1.0)) + (1.0 - 2.0 * theta) * at * an
+    return (1.0 - theta) ** 2 * at * an - theta * theta * (1.0 - at) * (1.0 - an)
+
+
+def odds_formula(theta, a, t):
+    boundary = float(linear_formula(theta, a, -1.0))
+    at, an = linear_formula(theta, a, t), linear_formula(theta, a, -np.asarray(t))
+    return theta * (at - boundary) * (1.0 - an) / den_formula(theta, at, an)
+
+
+def residual_formula(h_pos, h_neg, a_vals, lam):
+    num = 1.0 - h_pos
+    den = num + lam * h_neg
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    ratio[(den == 0.0) & (num == 0.0)] = 1.0
+    target = a_vals.copy()
+    target[-1] = 1.0
+    return np.abs(ratio - target)
+
+
+def equal(got, expected):
+    """Bit-for-bit equality of values and shape, a NaN matching a NaN."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.shape == expected.shape and np.array_equal(got, expected, equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=ABILITIES, t=hnp.arrays(float, st.integers(0, 12),
+                                 elements=st.floats(-1.0, 1.0)),
+       per_history=st.booleans())
+def test_cdf_kernel_fills_both_state_rows_of_a_strided_buffer(a, t, per_history):
+    # the jury's call: a sign column, an ability per history or one for
+    # all, and the rows of a wider buffer as out
+    m = len(t)
+    ability = np.full(m, a) if per_history else a
+    buffer = np.full((2, 2 * m), 7.0)
+    out = buffer[:, :m]
+    got = _cdf_on_support(ability, t, STATE_SIGN, out)
+    assert got is out
+    assert equal(got, cdf_formula(ability, t, STATE_SIGN))
+    assert (buffer[:, m:] == 7.0).all()
+    assert equal(_cdf_on_support(ability, t, STATE_SIGN), cdf_formula(ability, t, STATE_SIGN))
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=THETAS, a=ABILITIES, t=POINTS)
+def test_linear_alpha_is_its_formula(theta, a, t):
+    got = LinearAbility(theta, a)(t)
+    assert equal(got, linear_formula(theta, a, t))
+    assert type(got) is (float if t.ndim == 0 else np.ndarray)
+
+
+@settings(max_examples=150, deadline=None)
+@given(theta=THETAS, a=ABILITIES, t=POINTS)
+def test_closed_form_evaluator_is_its_formula(theta, a, t):
+    prior = Prior(theta)
+    solved = closed_form_linear_odds(a, prior, allow_uniform_limit=True, grid_size=101)
+    expected = uniform_formula(t) if a == 0.0 else closed_odds_formula(a, prior.odds_lambda, t)
+    assert equal(solved(t), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(theta=THETAS, a=ABILITIES, t=POINTS)
+def test_solve_odds_is_its_formula_in_both_den_branches(theta, a, t):
+    """The evaluator, max_residual and is_valid_cdf, and the refusal, as
+    the written-out odds formula and residual pass give them, at theta on
+    either side of 1/2."""
+    prior, n = Prior(theta), 101
+    grid = np.linspace(-1.0, 1.0, n)
+    a_pos, a_neg = linear_formula(theta, a, grid), linear_formula(theta, a, -grid)
+    band = EQUALITY_TOL * (theta * theta)
+    degenerate = (np.abs(den_formula(theta, a_pos, a_neg)) <= band).any()
+    flat = np.abs(a_pos - theta).max() <= EQUALITY_TOL
+    try:
+        solved = solve_odds(LinearAbility(theta, a), prior, allow_uniform_limit=True,
+                            grid_size=n)
+    except DegenerateAlpha:
+        assert degenerate and not flat
+        return
+    assert not degenerate or flat
+    h = uniform_formula if degenerate else (lambda x: odds_formula(theta, a, x))
+    assert equal(solved(t), h(t))
+    residual = residual_formula(h(grid), h(-grid), a_pos, prior.odds_lambda)
+    assert equal(solved.max_residual, residual[int(residual.argmax())])
+    report = residual_check(solved, LinearAbility(theta, a), prior, n)
+    for got, expected in ((report.t, grid), (report.h, h(grid)), (report.alpha, a_pos),
+                          (report.residual, residual)):
+        assert equal(got, expected)
+    assert equal(report.max_residual, solved.max_residual)
+
+
+def memoised(fn):
+    """``fn`` answering every input with one writable array of its own,
+    the same object on every call, as a caching callable would."""
+    memo = {}
+
+    def call(t):
+        t = np.asarray(t, dtype=float)
+        key = (t.shape, t.tobytes())
+        if key not in memo:
+            memo[key] = np.array(fn(t), dtype=float)
+        return memo[key]
+
+    call.memo = memo
+    call.fresh = fn
+    return call
+
+
+def untouched(*callables):
+    """Whether every memoised array still holds what ``fn`` gives."""
+    return all(equal(values, np.asarray(c.fresh(np.frombuffer(key[1]).reshape(key[0])),
+                                        dtype=float))
+               for c in callables for key, values in c.memo.items())
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("n", [101, LARGE])
+def test_in_place_writes_never_reach_a_callers_array(theta, n):
+    prior = Prior(theta)
+    h = memoised(closed_form_linear_odds(0.6, prior))
+    alpha = memoised(LinearAbility(theta, 0.6))
+    points = np.linspace(-1.0, 0.9, 39).reshape(3, 13)
+
+    def run():
+        check = residual_check(h, alpha, prior, n)
+        solved = solve_odds(alpha, prior, grid_size=n)
+        return check, solved, posterior_tail(h, points, prior)
+
+    first = run()
+    assert untouched(h, alpha)
+    second = run()
+    assert untouched(h, alpha)
+    for check in (first[0], second[0]):
+        assert check.max_residual < 1e-12
+    for name in ("t", "h", "alpha", "residual", "max_residual", "argmax_t"):
+        assert equal(getattr(first[0], name), getattr(second[0], name)), name
+    assert equal(first[1](points), second[1](points))
+    assert first[1].max_residual == second[1].max_residual
+    assert first[1].is_valid_cdf and second[1].is_valid_cdf
+    assert equal(first[2], second[2])
+
+
+def peak_grids(call):
+    """The most bytes ``call`` holds at once under tracemalloc, in
+    LARGE-point float arrays."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - base) / (LARGE * 8)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: closed_form_linear_odds(0.7, Prior(0.3), grid_size=LARGE),
+    lambda: solve_odds(LinearAbility(0.3, 0.6), Prior(0.3), grid_size=LARGE),
+    lambda: solve_odds(LinearAbility(0.8, 0.6), Prior(0.8), grid_size=LARGE),
+    lambda: solve_balanced(LinearAbility(0.5, 0.6), grid_size=LARGE),
+], ids=["closed-form-odds", "odds-theta-below-half", "odds-theta-above-half", "balanced"])
+def test_large_grid_call_holds_few_grid_arrays(solve):
+    """A 20001-point solver call peaks at about 5.4 grid-sized arrays:
+    its outputs, its inputs and the two arrays of one kernel step.  The
+    written-out expressions held 7.4 (closed form) and 8.4 (solve_odds),
+    and glibc trims the freed heap top and faults it in again on every
+    call, so each array more costs about 40 page faults a call."""
+    solve()  # builds the cached grid
+    assert peak_grids(solve) < 5.9

@@ -234,10 +234,13 @@ ABILITY_POINTS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-310]), st.float
 
 @settings(max_examples=200)
 @given(a=ABILITY_POINTS,
-       t=hnp.arrays(float, st.integers(0, 40),
+       t=hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=8),
                     elements=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
                                        st.floats(-1.0, 1.0))))
 def test_cdfs_equal_their_formulas_bit_for_bit(a, t):
-    # one formula with a sign serves both states; each must round as written out
-    assert np.array_equal(cdf_given_A(a, t), (t + 1.0) * (a * t - a + 2.0) / 4.0)
-    assert np.array_equal(cdf_given_B(a, t), (t + 1.0) * (a - a * t + 2.0) / 4.0)
+    # one formula with a sign serves both states, computed step by step in
+    # place; each must round as written out, on 0-d, 1-d and 2-d inputs
+    for got, expected in ((cdf_given_A(a, t), (t + 1.0) * (a * t - a + 2.0) / 4.0),
+                          (cdf_given_B(a, t), (t + 1.0) * (a - a * t + 2.0) / 4.0)):
+        assert np.shape(got) == t.shape and np.array_equal(got, expected)
+        assert type(got) is (float if t.ndim == 0 else np.ndarray)

@@ -515,6 +515,21 @@ class TestPosteriorTail:
         with pytest.raises(Indeterminate):
             posterior_tail(early, 0.75, HALF)
 
+    def test_interior_exhaustion_on_a_multi_dimensional_input_raises(self):
+        # the first vanishing denominator is at t = 0.7, flat index 2
+        def early(t):
+            return np.where(np.asarray(t) > -0.5, 1.0, 0.0)
+
+        with pytest.raises(Indeterminate, match="t=0.7;"):
+            posterior_tail(early, [[0.2, 0.3], [0.7, 0.9]], HALF)
+
+    def test_multi_dimensional_input_keeps_its_shape(self):
+        h = closed_form_linear(0.8)
+        t = np.array([[-1.0, 0.0], [0.5, 1.0]])
+        got = posterior_tail(h, t, HALF)
+        assert got.shape == (2, 2)
+        assert got.tobytes() == posterior_tail(h, t.ravel(), HALF).tobytes()
+
 
 class TestTabulatedRoundTrip:
     @staticmethod
