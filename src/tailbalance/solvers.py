@@ -12,19 +12,23 @@ affine-pair solver, against its own relation H(-t) = gamma + delta*H)
 on a check grid, and whose ``is_valid_cdf`` flag is computed from the
 values rather than assumed.
 
-``solve_odds`` (and so ``solve_balanced``) evaluates alpha once on the
-check grid and once on its mirror, besides its alpha(-1) probe, and
-``solve_affine_pair`` evaluates gamma and delta once each on both.  The
-H values, residual and validity come from those arrays through the same
+Every check grid comes from ``check_grid``, built once per size, shared
+read-only and exactly antisymmetric, so a pointwise callable's values on
+-grid are its values on the grid reversed.  Each solver's check
+therefore evaluates every input once per grid point: ``solve_odds``
+(and so ``solve_balanced``) evaluates alpha once on the grid, besides
+its alpha(-1) probe, ``solve_affine_pair`` gamma and delta once each,
+and ``residual_check`` H and alpha once each; the values at -t are the
+reversed arrays, read as views.  ``solve_odds`` and ``solve_affine_pair``
+compute H, the residual and validity from those arrays through the same
 H formula the returned evaluator runs, so they equal bit for bit what a
 fresh ``residual_check`` of the evaluator reports.  The closed forms
 and the decomposition solver check their evaluator as
-``residual_check`` does, on the shared grid itself.  Each evaluator is a bare array-in/array-out core;
-``SolvedCdf`` adapts scalars, lists and 0-d arrays to it.  Every check
-grid comes from ``check_grid``, built once per size and shared
-read-only.  On the default 1001-point grid a call costs about 70-130 us
-in process (2-CPU x86, numpy 2.4), mostly fixed numpy dispatch over a
-dozen or so array operations.
+``residual_check`` does, on the shared grid itself.  Each evaluator is a
+bare array-in/array-out core; ``SolvedCdf`` adapts scalars, lists and
+0-d arrays to it.  On the default 1001-point grid a call costs about
+40-90 us in process (2-CPU x86, numpy 2.4), mostly fixed numpy dispatch
+over a dozen or so array operations.
 
 Each formula writes its intermediates into arrays the call allocated,
 never into one a caller passed in or will see again, in the operand
@@ -32,14 +36,17 @@ order of the formula written out as one expression, so every value is
 that expression's bit for bit.  What this buys shows on the 20001-point
 grid: glibc hands the freed top of the heap back to the OS after every
 call and faults it in again on the next, so a call's cost follows the
-most grid-sized arrays it holds at once.  That peak is about 5.4 arrays
-(tracemalloc), where the one-expression forms held 7.4
+most grid-sized arrays it holds at once.  That peak is about 4.4 arrays
+for a solver and 5.4 for ``residual_check``, which hands back its own
+copy of t (tracemalloc); the one-expression forms held 7.4
 (``closed_form_linear_odds``) and 8.4 (``solve_odds``).  Minor page
 faults per call (``resource.getrusage`` over 200 calls, 2-CPU x86,
-glibc, numpy 2.4): ``closed_form_linear_odds`` about 125,
-``solve_balanced`` 210, ``solve_odds`` above theta = 1/2 165, down from
-426, 280 and 327; a ``closed_form_linear_odds`` call takes about
-0.6-0.8 ms, down from 1.0-1.4 ms.
+glibc, numpy 2.4): ``closed_form_linear_odds`` about 46,
+``solve_balanced`` 94, ``solve_odds`` above theta = 1/2 86 and
+``residual_check`` 124, against 124, 209, 163 and 202 when each check
+evaluated its inputs on -grid a second time; a
+``closed_form_linear_odds`` call takes about 0.3-0.45 ms, against
+0.5-0.7 ms then.
 
 Every formula is evaluated in its alpha form.  The equivalent
 odds-transform form divides by 1 - alpha(t), which is 0 at t = +1
@@ -160,7 +167,7 @@ def solve_affine_pair(coeffs: CoefficientPair, *,
     n = _check_grid_size(grid_size)
     grid = check_grid(n)
     d_pos = evaluate_on(coeffs.delta, grid)
-    d_neg = evaluate_on(coeffs.delta, -grid)
+    d_neg = d_pos[::-1]  # delta on -grid: the grid is antisymmetric
     gap = 1.0 - d_pos * d_neg
     i = int(np.abs(gap).argmin())
     if abs(gap[i]) < EQUALITY_TOL:
@@ -174,13 +181,12 @@ def solve_affine_pair(coeffs: CoefficientPair, *,
         gap_t = 1.0 - evaluate_on(coeffs.delta, t) * d_neg_t
         return h(evaluate_on(coeffs.gamma, t), evaluate_on(coeffs.gamma, -t), d_neg_t, gap_t)
 
-    # the evaluator's values on +grid and -grid, bit for bit: at -grid the
-    # gap is 1 - delta(-t) * delta(t), the same product
+    # the evaluator's values on the grid, bit for bit; reversed, they are
+    # its values on -grid, where the gap is the same product (gap is
+    # symmetric)
     g_pos = evaluate_on(coeffs.gamma, grid)
-    g_neg = evaluate_on(coeffs.gamma, -grid)
-    h_pos = h(g_pos, g_neg, d_neg, gap)
-    h_neg = h(g_neg, g_pos, d_pos, gap)
-    residual = np.abs(h_neg - g_pos - d_pos * h_pos)
+    h_pos = h(g_pos, g_pos[::-1], d_neg, gap)
+    residual = np.abs(h_pos[::-1] - g_pos - d_pos * h_pos)
     return SolvedCdf(
         evaluator=core,
         provenance=Provenance.AFFINE_PAIR,
@@ -250,7 +256,7 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
 
     grid = check_grid(n)
     a_pos = evaluate_on(alpha, grid)
-    a_neg = evaluate_on(alpha, -grid)
+    a_neg = a_pos[::-1]  # alpha on -grid: the grid is antisymmetric
     den = scaled_den(a_pos, a_neg)
     # |den| <= band as two comparisons, with no |den| array; <=: below
     # theta ~ 1e-154 the band underflows to 0, and a den of exactly 0 (a
@@ -279,20 +285,11 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
         an = evaluate_on(alpha, -t)
         return h(at - boundary, an, scaled_den(at, an))
 
-    # the evaluator's values on +grid and -grid, bit for bit: at -grid it
-    # evaluates alpha at -(-grid), which is grid exactly
+    # the evaluator's values on the grid, bit for bit; reversed, they are
+    # its values on -grid, as every formula step is elementwise
     h_pos = h(a_pos - boundary, a_neg, den)
-    den = scaled_den(a_neg, a_pos)
-    shift = a_neg - boundary
-    # dropped at their last use, a_neg and shift leave at most five
-    # grid-sized arrays live at once, not seven: glibc trims the freed
-    # heap top after each call and faults it in again on the next, and a
-    # 20001-point call faults in about 210 pages rather than 290
-    del a_neg
-    h_neg = h(shift, a_pos, den)
-    del shift
     return _finish(core, Provenance.ODDS_FORMULA,
-                   _report(grid, h_pos, h_neg, a_pos, prior.odds_lambda))
+                   _report(grid, h_pos, a_pos, prior.odds_lambda))
 
 
 def closed_form_linear_odds(a: float, prior: Prior, *,
@@ -410,13 +407,13 @@ def _tail_ratio(h_pos: np.ndarray, h_neg: np.ndarray, lam: float):
     return ratio, den
 
 
-def _report(grid: np.ndarray, h_pos: np.ndarray, h_neg: np.ndarray,
-            a_vals: np.ndarray, lam: float) -> ResidualReport:
-    """The residual report of H on +grid and -grid against alpha on
-    +grid: ``residual_check`` and the solvers' own grid passes, which
-    hand in the shared grid and, for ``solve_odds``, the values it
-    already has."""
-    ratio, den = _tail_ratio(h_pos, h_neg, lam)
+def _report(grid: np.ndarray, h_pos: np.ndarray, a_vals: np.ndarray,
+            lam: float) -> ResidualReport:
+    """The residual report of H on the grid against alpha there, with
+    H(-grid) read as H(grid) reversed: ``residual_check`` and the
+    solvers' own grid passes, which hand in the shared grid and, for
+    ``solve_odds``, the values it already has."""
+    ratio, den = _tail_ratio(h_pos, h_pos[::-1], lam)
     ratio[(den == 0.0) & np.isnan(ratio)] = 1.0  # an exact 0/0
     # |ratio - alpha|, and |ratio - 1| at t = +1, written into ratio: on a
     # 20001-point grid each further array is about 40 fresh pages, which
@@ -442,10 +439,12 @@ def residual_check(h, alpha: AlphaSpec, prior: Prior,
 
     ``h`` may be a SolvedCdf or any callable on [-1, +1].  The ratio
     (1 - H(t)) / (1 - H(t) + lambda * H(-t)) is compared against
-    alpha(t) on a uniform grid, except at t = +1 where the defining
-    convention reads the ratio as 1; an exact 0/0 is resolved to 1 so
-    exact solutions score a zero residual there, while a 0/0 away from
-    the boundary surfaces as a large residual rather than an exception.
+    alpha(t) on the ``check_grid`` points, except at t = +1 where the
+    defining convention reads the ratio as 1; an exact 0/0 is resolved to
+    1 so exact solutions score a zero residual there, while a 0/0 away
+    from the boundary surfaces as a large residual rather than an
+    exception.  H(-t) is read as H on the grid reversed, so ``h`` must be
+    pointwise, as any function of t is.
     """
     n = _check_grid_size(grid_size)
     _check_prior(prior)
@@ -459,8 +458,7 @@ def _grid_report(h, alpha: AlphaSpec, prior: Prior, n: int, *,
     The solvers' own checks, whose reports never leave them, skip it."""
     grid = check_grid(n)
     return _report(grid.copy() if copy else grid, evaluate_on(h, grid),
-                   evaluate_on(h, -grid), evaluate_on(alpha, grid),
-                   prior.odds_lambda)
+                   evaluate_on(alpha, grid), prior.odds_lambda)
 
 
 def posterior_tail(h, t, prior: Prior):

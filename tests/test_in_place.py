@@ -5,6 +5,7 @@ or will see again; and a 20001-point call must hold fewer grid-sized
 arrays at its peak than the written-out expressions do."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tailbalance import (
     DegenerateAlpha,
     LinearAbility,
     Prior,
+    closed_form_linear,
     closed_form_linear_odds,
     posterior_tail,
     residual_check,
@@ -134,7 +136,7 @@ def test_solve_odds_is_its_formula_in_both_den_branches(theta, a, t):
     the written-out odds formula and residual pass give them, at theta on
     either side of 1/2."""
     prior, n = Prior(theta), 101
-    grid = np.linspace(-1.0, 1.0, n)
+    grid = np.array([float(Fraction(2 * k - n + 1, n - 1)) for k in range(n)])  # check_grid(n)
     a_pos, a_neg = linear_formula(theta, a, grid), linear_formula(theta, a, -grid)
     band = EQUALITY_TOL * (theta * theta)
     degenerate = (np.abs(den_formula(theta, a_pos, a_neg)) <= band).any()
@@ -224,17 +226,23 @@ def peak_grids(call):
             tracemalloc.stop()
 
 
-@pytest.mark.parametrize("solve", [
-    lambda: closed_form_linear_odds(0.7, Prior(0.3), grid_size=LARGE),
-    lambda: solve_odds(LinearAbility(0.3, 0.6), Prior(0.3), grid_size=LARGE),
-    lambda: solve_odds(LinearAbility(0.8, 0.6), Prior(0.8), grid_size=LARGE),
-    lambda: solve_balanced(LinearAbility(0.5, 0.6), grid_size=LARGE),
-], ids=["closed-form-odds", "odds-theta-below-half", "odds-theta-above-half", "balanced"])
-def test_large_grid_call_holds_few_grid_arrays(solve):
-    """A 20001-point solver call peaks at about 5.4 grid-sized arrays:
-    its outputs, its inputs and the two arrays of one kernel step.  The
+@pytest.mark.parametrize("solve, bound", [
+    (lambda: closed_form_linear_odds(0.7, Prior(0.3), grid_size=LARGE), 4.9),
+    (lambda: solve_odds(LinearAbility(0.3, 0.6), Prior(0.3), grid_size=LARGE), 4.9),
+    (lambda: solve_odds(LinearAbility(0.8, 0.6), Prior(0.8), grid_size=LARGE), 4.9),
+    (lambda: solve_balanced(LinearAbility(0.5, 0.6), grid_size=LARGE), 4.9),
+    (lambda h=closed_form_linear(0.6): residual_check(h, LinearAbility(0.5, 0.6), Prior(0.5),
+                                                      LARGE), 5.9),
+], ids=["closed-form-odds", "odds-theta-below-half", "odds-theta-above-half", "balanced",
+        "residual-check"])
+def test_large_grid_call_holds_few_grid_arrays(solve, bound):
+    """A 20001-point solver call peaks at about 4.4 grid-sized arrays:
+    its outputs, its inputs and the two arrays of one kernel step; H and
+    alpha on -grid are views of their values on the grid, reversed.  The
     written-out expressions held 7.4 (closed form) and 8.4 (solve_odds),
     and glibc trims the freed heap top and faults it in again on every
-    call, so each array more costs about 40 page faults a call."""
+    call, so each array more costs about 40 page faults a call.  The
+    public ``residual_check`` holds one more, the copy of t it hands
+    back."""
     solve()  # builds the cached grid
-    assert peak_grids(solve) < 5.9
+    assert peak_grids(solve) < bound

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ from tailbalance.alpha import RESIDUAL_TOL, cdf_values_ok, check_grid, evaluate_
 HALF = Prior(0.5)
 ABILITIES = [round(0.1 * k, 1) for k in range(1, 11)]
 GRID_201 = np.linspace(-1.0, 1.0, 201)
+
+
+def exact_grid(n):
+    """The check grid written out: point k is (2k - (n - 1)) / (n - 1),
+    correctly rounded."""
+    return np.array([float(Fraction(2 * k - n + 1, n - 1)) for k in range(n)])
 
 
 def balanced_linear_solutions(a):
@@ -621,6 +628,46 @@ def test_alpha_determines_h_at_any_prior(bumps, theta):
     assert np.abs(solved(grid) - h(grid)).max() <= 1e-10 / (1.0 - theta)
 
 
+@pytest.mark.parametrize("theta", [0.01, 0.3, 0.7, 0.95])
+def test_tabulated_alpha_error_falls_as_knot_spacing_squared(theta):
+    """The round trip through a table: alpha = posterior_tail(H, ., Prior(theta))
+    on m and 2m equal knot intervals, then solve_odds(Tabulated(...)).
+    Piecewise-linear interpolation errs by about spacing**2 * alpha''/8,
+    so halving the spacing cuts the error in H by about 4 (3.83-4.01
+    measured at m = 20 and 40).  H = ((1 + t)/2)**3 has zero density at
+    t = -1, which keeps alpha smooth up to t = +1; a logistic mixture,
+    whose density is positive there, has alpha(1-) < 1 = alpha(1) and
+    converges only linearly."""
+    prior = Prior(theta)
+
+    def h(t):
+        return ((1.0 + np.asarray(t, dtype=float)) / 2.0) ** 3
+
+    grid = check_grid(1001)
+    errors = []
+    for m in (20, 40):
+        knots = np.linspace(-1.0, 1.0, m + 1)
+        table = Tabulated(tuple(zip(knots.tolist(), posterior_tail(h, knots, prior).tolist())))
+        errors.append(np.abs(solve_odds(table, prior)(grid) - h(grid)).max())
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(bumps=state_a_bumps(), c=st.floats(-0.9, 0.9))
+def test_affine_pair_recovers_h_from_its_own_relation(bumps, c):
+    """The affine-pair route to a known H: gamma(t) = H(-t) - c * H(t)
+    and delta = c make H the pair's solution, and solve_affine_pair
+    gives it back within rounding amplified by 1 / (1 - c**2) <= 5.3."""
+    h = logistic_mixture_cdf(bumps)
+    pair = CoefficientPair(gamma=lambda t: h(-np.asarray(t)) - c * h(t),
+                           delta=lambda t: np.full(np.shape(t), c))
+    solved = solve_affine_pair(pair)
+    grid = check_grid(1001)
+    assert np.abs(solved(grid) - h(grid)).max() <= 1e-12
+    assert solved.max_residual <= 1e-12
+    assert solved.is_valid_cdf
+
+
 class TestSolvedCdfBehavior:
     def test_provenance_tags(self):
         assert solve_balanced(LinearAbility(0.5, 0.5)).provenance \
@@ -663,7 +710,8 @@ class CountingAlpha(AlphaSpec):
 
 
 def call_labels(calls, grid):
-    """Name each recorded call: the scalar probe at -1, +grid or -grid."""
+    """Name each recorded call: the scalar probe at -1, +grid or -grid
+    (which, the grid being antisymmetric, no solver needs)."""
     labels = []
     for t in calls:
         if t.ndim == 0 and t == -1.0:
@@ -678,21 +726,29 @@ def call_labels(calls, grid):
 
 
 class TestOneGridPass:
-    """Each solver evaluates its inputs once per grid point and hands those
-    values to its residual and validity checks."""
+    """Each solver evaluates its inputs once, on the grid, reads their
+    values on -grid as those reversed, and hands them to its residual
+    and validity checks."""
 
     @pytest.mark.parametrize("theta, solve", [
         (0.3, lambda alpha: solve_odds(alpha, Prior(0.3), grid_size=101)),
         (0.5, lambda alpha: solve_balanced(alpha, grid_size=101)),
     ], ids=["odds", "balanced"])
-    def test_solve_odds_evaluates_alpha_once_per_side(self, theta, solve):
+    def test_solve_odds_evaluates_alpha_once_on_the_grid(self, theta, solve):
         alpha = CountingAlpha(theta, 0.7)
         solved = solve(alpha)
-        grid = np.linspace(-1.0, 1.0, 101)
-        assert call_labels(alpha.calls, grid) == ["+grid", "-grid", "probe"]
+        assert call_labels(alpha.calls, exact_grid(101)) == ["+grid", "probe"]
         assert solved.max_residual <= RESIDUAL_TOL
 
-    def test_affine_pair_evaluates_each_coefficient_once_per_side(self):
+    def test_residual_check_evaluates_h_and_alpha_once_on_the_grid(self):
+        alpha, h = CountingAlpha(0.3, 0.7), CountingAlpha(0.3, 0.7)
+        h.inner = closed_form_linear_odds(0.7, Prior(0.3), grid_size=101)
+        report = residual_check(h, alpha, Prior(0.3), 101)
+        for counted in (h, alpha):
+            assert call_labels(counted.calls, exact_grid(101)) == ["+grid"]
+        assert report.max_residual <= RESIDUAL_TOL
+
+    def test_affine_pair_evaluates_each_coefficient_once_on_the_grid(self):
         calls = {"gamma": [], "delta": []}
 
         def counted(name, fn):
@@ -706,10 +762,12 @@ class TestOneGridPass:
                           - 0.4 * np.asarray(cdf_given_A(0.6, t))),
             delta=counted("delta", lambda t: np.full(t.shape, 0.4)))
         solved = solve_affine_pair(pair, grid_size=101)
-        grid = np.linspace(-1.0, 1.0, 101)
         for name in ("gamma", "delta"):
-            assert call_labels(calls[name], grid) == ["+grid", "-grid"], name
+            assert call_labels(calls[name], exact_grid(101)) == ["+grid"], name
         assert solved.max_residual <= RESIDUAL_TOL
+        calls["delta"].clear()
+        pair.singularity_gap(101)
+        assert call_labels(calls["delta"], exact_grid(101)) == ["+grid"]
 
 
 def in_place_linear(theta, a):
@@ -752,18 +810,71 @@ def read_only(values):
     return out
 
 
+def same_bits(x, y):
+    """Bit-for-bit equality, with -0.0 read as +0.0: -grid's middle point
+    is -0.0 where the reversed grid's is +0.0, and an odd function keeps
+    that sign."""
+    return (np.asarray(x) + 0.0).tobytes() == (np.asarray(y) + 0.0).tobytes()
+
+
+def curved_table(theta):
+    """A 41-knot tabulated alpha through (-1, theta), curved between knots."""
+    knots = np.linspace(-1.0, 1.0, 41)
+    values = theta + (1.0 - theta) * 0.6 * ((knots + 1.0) / 2.0) ** 1.3
+    return Tabulated(tuple(zip(knots.tolist(), values.tolist())))
+
+
+#: Alpha specs, every solver's evaluator and plain numpy callables, each
+#: built when its test runs
+MIRROR_CASES = {
+    "linear": lambda: LinearAbility(0.3, 0.7),
+    "affine": lambda: Affine(0.5, 0.2),
+    "table": lambda: curved_table(0.3),
+    "odds": lambda: solve_odds(LinearAbility(0.3, 0.7), Prior(0.3)),
+    "odds-above-half": lambda: solve_odds(LinearAbility(0.8, 0.7), Prior(0.8)),
+    "odds-table": lambda: solve_odds(curved_table(0.3), Prior(0.3)),
+    "balanced": lambda: solve_balanced(LinearAbility(0.5, 0.6)),
+    "affine-pair": lambda: solve_affine_pair(affine_pairs()[0]),
+    "closed-form": lambda: closed_form_linear(0.6),
+    "closed-form-odds": lambda: closed_form_linear_odds(0.7, Prior(1e-200)),
+    "uniform": lambda: closed_form_linear(0.0),
+    "decomposition": lambda: alt_decomposition_solver(0.6),
+    "from-table": lambda: SolvedCdf.from_table([(-1.0, 0.0), (0.2, 0.45), (1.0, 1.0)]),
+    "exp": lambda: np.exp,
+    "tanh": lambda: np.tanh,
+    "log1p": lambda: np.log1p,
+    "cube": lambda: lambda t: t ** 3,
+    "power": lambda: lambda t: (1.0 + t) ** 1.7,
+}
+
+
 class TestCheckGrid:
-    """Solvers share one read-only grid per size; no array a caller sees
-    is that grid or read-only."""
+    """Solvers share one exactly antisymmetric read-only grid per size; no
+    array a caller sees is that grid or read-only."""
 
     @pytest.mark.parametrize("n", [3, 101, 1001, 20001])
-    def test_cached_grid_is_read_only_linspace(self, n):
+    def test_cached_grid_is_read_only(self, n):
         grid = check_grid(n)
         assert check_grid(n) is grid
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0] = 0.0
-        assert grid.tobytes() == np.linspace(-1.0, 1.0, n).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 101, 1001, 20001])
+    def test_grid_is_correctly_rounded_and_antisymmetric(self, n):
+        grid = check_grid(n)
+        assert grid.tobytes() == exact_grid(n).tobytes()
+        assert (grid[0], grid[n // 2], grid[-1]) == (-1.0, 0.0, 1.0)
+        assert same_bits(grid[::-1], -grid)
+
+    @pytest.mark.parametrize("n", [3, 101, 1001, 20001])
+    @pytest.mark.parametrize("name", list(MIRROR_CASES))
+    def test_values_on_the_mirror_grid_are_the_values_reversed(self, name, n):
+        fn = MIRROR_CASES[name]()
+        grid = check_grid(n)
+        with np.errstate(divide="ignore"):  # log1p(-1) is -inf
+            mirror, forward = evaluate_on(fn, -grid), evaluate_on(fn, grid)
+        assert same_bits(mirror, forward[::-1])
 
     def test_writing_into_a_report_leaves_later_calls_alone(self):
         alpha, prior = LinearAbility(0.3, 0.7), Prior(0.3)
@@ -774,7 +885,7 @@ class TestCheckGrid:
             assert values.flags.writeable
             values[:] = 7.0
         later = residual_check(solved, alpha, prior, 101)
-        assert later.t.tobytes() == np.linspace(-1.0, 1.0, 101).tobytes()
+        assert later.t.tobytes() == exact_grid(101).tobytes()
         assert later.h.tobytes() == before.h.tobytes()
         assert later.max_residual == before.max_residual
         again = solve_odds(alpha, prior, grid_size=101)
@@ -785,8 +896,8 @@ class TestCheckGrid:
         report = residual_check(lambda t: t, LinearAbility(0.5, 0.6), HALF, 101)
         assert report.h.flags.writeable
         report.h[:] = 7.0
-        assert check_grid(101).tobytes() == np.linspace(-1.0, 1.0, 101).tobytes()
-        assert report.t.tobytes() == np.linspace(-1.0, 1.0, 101).tobytes()
+        assert check_grid(101).tobytes() == exact_grid(101).tobytes()
+        assert report.t.tobytes() == exact_grid(101).tobytes()
 
     @pytest.mark.parametrize("theta, a", [(0.3, 0.7), (0.5, 0.6), (0.8, 1.0), (1e-200, 0.4)])
     @pytest.mark.parametrize("grid_size", [101, 1001])
@@ -861,7 +972,7 @@ def same(x, y):
 def affine_pair_residual(solved, coeffs, grid_size):
     """solve_affine_pair's check from scratch: the sup of
     |H(-t) - gamma(t) - delta(t) * H(t)| on the grid, and H on the grid."""
-    grid = np.linspace(-1.0, 1.0, grid_size)
+    grid = exact_grid(grid_size)
     h_pos = evaluate_on(solved, grid)
     residual = np.abs(evaluate_on(solved, -grid) - evaluate_on(coeffs.gamma, grid)
                       - evaluate_on(coeffs.delta, grid) * h_pos)
