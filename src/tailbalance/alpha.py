@@ -194,24 +194,6 @@ def alpha_from_json(obj: dict | str) -> AlphaSpec:
 
 
 @dataclass(frozen=True)
-class BetaFn:
-    """Odds transform beta(t) = alpha(t) / (1 - alpha(t)) of an alpha spec.
-
-    Increasing wherever alpha is; infinite where alpha reaches 1 (the
-    upper endpoint at full ability), which is why the solvers evaluate
-    the alpha form of their formulas instead of this one.
-    """
-
-    alpha: AlphaSpec
-
-    def __call__(self, t):
-        a = np.asarray(self.alpha(t), dtype=float)
-        with np.errstate(divide="ignore"):
-            out = a / (1.0 - a)
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
 class CoefficientPair:
     """Coefficients of the affine relation H(-t) = gamma(t) + delta(t) * H(t).
 
@@ -308,14 +290,17 @@ def _check_grid_size(grid_size: int) -> int:
 
 @functools.lru_cache(maxsize=8)
 def check_grid(n: int) -> np.ndarray:
-    """The n-point grid over [-1, +1]: t_k = (2k - (n - 1)) / (n - 1).
+    """The n-point grid over [-1, +1], n >= 2: t_k = (2k - (n - 1)) / (n - 1).
 
     Each point is one correctly rounded quotient of integers, and t_k and
     t_(n-1-k) have opposite numerators, so ``grid[::-1] == -grid`` exactly
-    and -1, 0 and +1 are exact.  A pointwise callable's values on -grid
-    are thus its values on the grid reversed, which the solvers read
-    instead of evaluating twice (``np.linspace`` misses this at 436 of
-    1001 points).
+    at every n, even or odd, and -1 and +1 are exact.  A pointwise
+    callable's values on -grid are thus its values on the grid reversed,
+    which the solvers read instead of evaluating twice (``np.linspace``
+    misses this at 436 of 1001 points).  Only an odd n puts 0 on the grid
+    (at k = (n - 1)/2), so a check grid's size is odd
+    (``_check_grid_size``); the CLI's ``solve`` and ``posterior`` write
+    these points for any --grid >= 2.
 
     Built once per size and shared by every call, so it is read-only:
     whatever hands it to a caller copies it first.

@@ -24,7 +24,15 @@ import numpy as np
 import scipy.stats  # noqa: F401
 
 from . import __version__
-from .alpha import Affine, AlphaSpec, LinearAbility, SolvedCdf, Tabulated
+from .alpha import (
+    RESIDUAL_TOL,
+    Affine,
+    AlphaSpec,
+    LinearAbility,
+    SolvedCdf,
+    Tabulated,
+    check_grid,
+)
 from .errors import DomainError, SolverError
 from .jury import (
     CondorcetModel,
@@ -36,6 +44,7 @@ from .jury import (
 )
 from .signals import Prior, StateOfNature, posterior_from_signal, sample_signal
 from .solvers import (
+    DEFAULT_GRID,
     alt_decomposition_solver,
     closed_form_linear_odds,
     residual_check,
@@ -107,17 +116,16 @@ def _require(flag_value, cfg: dict, key: str):
 
 
 def _resolve_alpha(cfg, kind, theta, ability, intercept, slope):
-    """Build (AlphaSpec, Prior, linear ability or None) from flags + config."""
+    """Build (AlphaSpec, Prior) from flags + config.  The prior is --theta
+    when given, else the spec's own alpha(-1)."""
     kind = _pick(kind, cfg, "kind", "linear")
     theta_val = _pick(theta, cfg, "theta")
     if kind == "linear":
         a = _pick(ability, cfg, "a")
         if a is None:
             raise click.UsageError("linear alpha needs --a (or 'a' in --config)")
-        prior = Prior(0.5 if theta_val is None else theta_val)
-        alpha = LinearAbility(prior.theta, a)
-        return alpha, prior, alpha.a
-    if kind == "affine":
+        spec = LinearAbility(0.5 if theta_val is None else theta_val, a)
+    elif kind == "affine":
         b = _pick(intercept, cfg, "intercept")
         s = _pick(slope, cfg, "slope")
         if b is None or s is None:
@@ -125,16 +133,22 @@ def _resolve_alpha(cfg, kind, theta, ability, intercept, slope):
                 "affine alpha needs --intercept and --slope (or config keys)"
             )
         spec = Affine(b, s)
-        theta_val = spec.intercept - spec.slope if theta_val is None else theta_val
-        return spec, Prior(theta_val), None
-    if kind == "table":
+    elif kind == "table":
         points = cfg.get("points")
         if points is None:
             raise click.UsageError("table alpha needs 'points' in --config")
         spec = Tabulated(points)
-        theta_val = spec(-1.0) if theta_val is None else theta_val
-        return spec, Prior(theta_val), None
-    raise click.UsageError(f"unknown alpha kind: {kind!r}")
+    else:
+        raise click.UsageError(f"unknown alpha kind: {kind!r}")
+    return spec, Prior(spec(-1.0) if theta_val is None else theta_val)
+
+
+def _output_grid(grid: int) -> np.ndarray:
+    """The --grid points of ``solve`` and ``posterior``: ``check_grid(grid)``,
+    so at odd sizes they are ``verify --grid``'s points."""
+    if grid < 2:
+        raise click.UsageError(f"--grid must be at least 2, got {grid}")
+    return check_grid(grid)
 
 
 def _read_h_table(path: str) -> SolvedCdf:
@@ -160,23 +174,22 @@ def _read_h_table(path: str) -> SolvedCdf:
     return SolvedCdf.from_table(points)
 
 
-def _resolve_h(h_source, alpha: AlphaSpec, prior: Prior, linear_a,
-               allow_uniform: bool):
+def _resolve_h(h_source, alpha: AlphaSpec, prior: Prior, allow_uniform: bool):
     if h_source == "odds":
         return solve_odds(alpha, prior, allow_uniform_limit=allow_uniform)
     if h_source == "balanced":
         return solve_balanced(alpha, allow_uniform_limit=allow_uniform)
     if h_source == "closed-form":
-        if linear_a is None:
+        if not isinstance(alpha, LinearAbility):
             raise click.UsageError("--h closed-form needs a linear alpha (--a)")
         return closed_form_linear_odds(
-            linear_a, prior, allow_uniform_limit=allow_uniform or prior.theta == 0.5)
+            alpha.a, prior, allow_uniform_limit=allow_uniform or prior.theta == 0.5)
     if h_source == "decomposition":
-        if linear_a is None:
+        if not isinstance(alpha, LinearAbility):
             raise click.UsageError("--h decomposition needs a linear alpha (--a)")
         if prior.theta != 0.5:
             raise click.UsageError("--h decomposition is defined for --theta 0.5 only")
-        return alt_decomposition_solver(linear_a)
+        return alt_decomposition_solver(alpha.a)
     return _read_h_table(h_source)
 
 
@@ -281,11 +294,9 @@ def solve(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
           grid, allow_uniform_limit, output_format):
     """Solve for the CDF induced by an alpha spec; emit (t, H) rows."""
     cfg = _load_config(config_path)
-    alpha, prior, linear_a = _resolve_alpha(cfg, alpha_kind, theta, ability,
-                                            intercept, slope)
-    if grid < 2:
-        raise click.UsageError(f"--grid must be at least 2, got {grid}")
-    h = _resolve_h(h_source, alpha, prior, linear_a, allow_uniform_limit)
+    alpha, prior = _resolve_alpha(cfg, alpha_kind, theta, ability, intercept, slope)
+    ts = _output_grid(grid)
+    h = _resolve_h(h_source, alpha, prior, allow_uniform_limit)
     if not h.is_valid_cdf:
         click.echo(f"refused: the solved H is not a valid CDF (H(-1) = {_fmt17(h(-1.0))}, "
                    f"H(+1) = {_fmt17(h(1.0))})", err=True)
@@ -297,7 +308,6 @@ def solve(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
         "grid": grid,
         "allow_uniform_limit": bool(allow_uniform_limit),
     }
-    ts = np.linspace(-1.0, 1.0, grid)
     rows = [[float(t), float(v)] for t, v in zip(ts, h(ts))]
     _emit("solve", output_format, params, ["t", "H"], rows)
 
@@ -307,9 +317,9 @@ def solve(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
 @click.option("--h", "h_source", type=str, default="odds", show_default=True,
               help="Solver keyword (odds, balanced, closed-form, decomposition) "
                    "or a path to a CSV of t,H rows.")
-@click.option("--grid", type=int, default=1001, show_default=True,
+@click.option("--grid", type=int, default=DEFAULT_GRID, show_default=True,
               help="Check-grid size (odd, >= 3).")
-@click.option("--tol", type=float, default=1e-10, show_default=True,
+@click.option("--tol", type=float, default=RESIDUAL_TOL, show_default=True,
               help="Verification fails (exit 2) if the max residual exceeds this.")
 @_uniform_option
 @_format_option
@@ -319,9 +329,8 @@ def verify(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
     if not (math.isfinite(tol) and tol >= 0.0):
         raise click.UsageError(f"--tol must be a finite number >= 0, got {tol!r}")
     cfg = _load_config(config_path)
-    alpha, prior, linear_a = _resolve_alpha(cfg, alpha_kind, theta, ability,
-                                            intercept, slope)
-    h = _resolve_h(h_source, alpha, prior, linear_a, allow_uniform_limit)
+    alpha, prior = _resolve_alpha(cfg, alpha_kind, theta, ability, intercept, slope)
+    h = _resolve_h(h_source, alpha, prior, allow_uniform_limit)
     report = residual_check(h, alpha, prior, grid)
     params = {
         "alpha": alpha.to_json(),
@@ -386,9 +395,7 @@ def posterior(config_path, ability, theta, signal, grid, output_format):
     if signal is not None:
         ts = np.asarray([float(signal)])
     else:
-        if grid < 2:
-            raise click.UsageError(f"--grid must be at least 2, got {grid}")
-        ts = np.linspace(-1.0, 1.0, grid)
+        ts = _output_grid(grid)
     ps = np.asarray(posterior_from_signal(a, ts, prior), dtype=float)
     params = {
         "a": float(a), "theta": prior.theta,

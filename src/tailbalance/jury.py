@@ -226,7 +226,7 @@ def vote_threshold(a: float, posterior_a_before_signal: float) -> float:
     tie rule.
     """
     a = _check_ability(a)
-    q = float(posterior_a_before_signal)
+    q = _number(posterior_a_before_signal, "posterior_a_before_signal")
     if not 0.0 < q < 1.0:
         raise DomainError(
             f"posterior_a_before_signal must lie strictly in (0, 1), got {q!r}"

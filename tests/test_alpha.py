@@ -3,7 +3,6 @@ import pytest
 
 from tailbalance import (
     Affine,
-    BetaFn,
     CoefficientPair,
     DomainError,
     LinearAbility,
@@ -130,29 +129,6 @@ class TestAlphaFromJson:
         with pytest.raises(DomainError, match="theta must be a number, got 'x'"):
             alpha_from_json({"kind": "affine", "intercept": 0.65,
                              "slope": 0.15, "theta": "x"})
-
-
-class TestBetaFn:
-    def test_matches_odds_of_alpha(self):
-        spec = LinearAbility(theta=0.5, a=0.8)
-        beta = BetaFn(spec)
-        vals = spec(GRID)
-        np.testing.assert_allclose(beta(GRID), vals / (1.0 - vals),
-                                   rtol=0.0, atol=1e-12)
-
-    def test_strictly_increasing(self):
-        beta = BetaFn(LinearAbility(theta=0.4, a=0.6))
-        assert np.all(np.diff(beta(GRID[:-1])) > 0.0)
-
-    def test_infinite_at_certainty(self):
-        beta = BetaFn(LinearAbility(theta=0.5, a=1.0))
-        assert beta(1.0) == np.inf
-
-    def test_anchored_at_prior_odds(self):
-        prior = Prior(0.4)
-        beta = BetaFn(LinearAbility(theta=prior.theta, a=0.5))
-        assert beta(-1.0) == pytest.approx(prior.theta / (1.0 - prior.theta),
-                                           abs=1e-15)
 
 
 class TestCoefficientPair:

@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from tailbalance import Affine, LinearAbility, Tabulated
+from tailbalance.alpha import check_grid
 from tailbalance.cli import main
 
 RUN = [sys.executable, "-m", "tailbalance"]
@@ -456,6 +459,78 @@ class TestSpecHeader:
         assert csv_spec == {**metadata["spec"], "format": "csv"}
         assert metadata["spec"]["format"] == "json"
         assert metadata["spec"]["subcommand"] == args[0]
+
+
+class TestOutputGrid:
+    """``solve --grid n`` and ``posterior --grid n`` write ``check_grid(n)``,
+    which at odd n is ``verify --grid n``'s grid."""
+
+    @staticmethod
+    def t_column(*args):
+        _, rows = csv_rows(run_cli(*args, check=0).stdout)
+        return np.array([float(row[0]) for row in rows])
+
+    @pytest.mark.parametrize("n", [2, 4, 11, 200, 201])
+    def test_t_column_is_the_check_grid(self, n):
+        grid = check_grid(n).tobytes()
+        solve_t = self.t_column("solve", "--a", "0.6", "--grid", str(n))
+        posterior_t = self.t_column("posterior", "--a", "0.6", "--grid", str(n))
+        assert solve_t.tobytes() == grid
+        assert posterior_t.tobytes() == grid
+        if n % 2:
+            verify_t = self.t_column("verify", "--a", "0.6", "--grid", str(n))
+            assert verify_t.tobytes() == grid
+
+    @pytest.mark.parametrize("command", ["solve", "posterior"])
+    def test_grid_below_two_exits_one(self, command):
+        result = run_cli(command, "--a", "0.6", "--grid", "1", check=1)
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == "Error: --grid must be at least 2, got 1"
+
+
+TABLE_POINTS = [[-1.0, 0.3], [0.0, 0.55], [1.0, 0.8]]
+
+
+class TestImpliedPrior:
+    """Without --theta the prior is the alpha spec's own alpha(-1); with
+    it the header echoes the flag."""
+
+    @pytest.fixture
+    def table_config(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"kind": "table", "points": TABLE_POINTS}))
+        return str(path)
+
+    def cases(self, table_config):
+        return [
+            (["--a", "0.6"], LinearAbility(0.5, 0.6)),
+            (["--alpha", "affine", "--intercept", "0.6", "--slope", "0.2"],
+             Affine(0.6, 0.2)),
+            (["--config", table_config], Tabulated(TABLE_POINTS)),
+        ]
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_theta_is_alpha_at_minus_one(self, command, table_config):
+        for args, spec in self.cases(table_config):
+            out = run_cli(command, *args, "--grid", "11", check=0).stdout
+            theta = header_spec(out)[1]["params"]["theta"]
+            assert theta == spec(-1.0), args
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_theta_flag_is_echoed(self, command, table_config):
+        flags = {"0.6": "0.3", "affine": "0.4", table_config: "0.3"}
+        for args, _ in self.cases(table_config):
+            theta = flags[args[1]]
+            out = run_cli(command, *args, "--theta", theta, "--grid", "11",
+                          check=0).stdout
+            assert header_spec(out)[1]["params"]["theta"] == float(theta), args
+
+    def test_affine_theta_off_alpha_at_minus_one_exits_two(self):
+        result = run_cli("solve", "--alpha", "affine", "--intercept", "0.6",
+                         "--slope", "0.2", "--theta", "0.41", check=2)
+        assert result.stdout == ""
+        assert result.stderr == (
+            "alpha(-1) = 0.39999999999999997 disagrees with the prior theta = 0.41\n")
 
 
 class TestEntryPoint:

@@ -17,6 +17,7 @@ from tailbalance import (
     DomainError,
     EvenJury,
     JuryConfig,
+    LinearAbility,
     Method,
     Prior,
     SizeLimit,
@@ -32,11 +33,13 @@ from tailbalance import (
     monte_carlo_verdict,
     order_scan,
     posterior_from_signal,
+    posterior_tail,
     vote_threshold,
 )
 from tailbalance import jury
 from tailbalance.jury import (
     _WALK_TRIALS,
+    _cutoff,
     _exact_majority_a,
     _juror_step,
     _posterior_given_history,
@@ -149,6 +152,12 @@ class TestVoteThreshold:
         with pytest.raises(DomainError):
             vote_threshold(-0.1, 0.5)
 
+    @pytest.mark.parametrize("q", [None, "x", [0.3, 0.4], True])
+    def test_non_number_posterior_is_a_domain_error(self, q):
+        with pytest.raises(DomainError,
+                           match="posterior_a_before_signal must be a number"):
+            vote_threshold(0.5, q)
+
     @settings(max_examples=200, deadline=None)
     @given(a=st.floats(0.0, 1.0, exclude_min=True),
            q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -159,6 +168,44 @@ class TestVoteThreshold:
         # grows as 1/min(q, 1 - q)
         assert posterior_from_signal(a, cutoff, Prior(q)) == pytest.approx(
             0.5, rel=0.0, abs=1e-15 / min(q, 1.0 - q))
+
+
+def _tail_ratio_of_cdf_a(a: Fraction, s: Fraction) -> Fraction:
+    """(1 - F_A(s)) / (1 - F_A(s) + F_A(-s)), the tail ratio at lambda = 1,
+    in exact arithmetic."""
+    def cdf(t):
+        return (t + 1) * (a * t - a + 2) / 4
+    return (1 - cdf(s)) / (1 - cdf(s) + cdf(-s))
+
+
+class TestWalkComputesTheTailRatio:
+    """The jury walk's posterior after an A vote is the paper's tail ratio
+    of the state-A signal CDF at the juror's cutoff."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(1e-8, 1.0), q=st.floats(1e-12, 1.0 - 1e-12))
+    @example(a=0.6, q=0.5)
+    @example(a=1e-3, q=0.5 - 4.99e-4)
+    def test_posterior_after_an_a_vote(self, a, q):
+        s = float(_cutoff(a, q))
+        assume(abs(s) < 1.0)
+        _, p_a, p_b = _juror_step(a, np.array([q]), TieBreak.FOLLOW_SIGNAL_SIGN)
+        with np.errstate(divide="ignore"):  # 1 - F_B(s) rounds to 0 near s = 1
+            ll_a, ll_b = np.log(p_a), np.log(p_b)
+        walk = float(_posterior_given_history(q, ll_a, ll_b)[0])
+        paper = posterior_tail(lambda t: cdf_given_A(a, t), s, Prior(q))
+        # both sides cancel in 1 - F_A(s), so the rounding grows as
+        # 1/(1 - s)**2 (at most 6.2 eps/(1 - s)**2 measured over 25k cases)
+        eps = np.finfo(float).eps
+        assert walk == pytest.approx(paper, rel=16.0 * eps / (1.0 - s) ** 2, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(0.0, 1.0), s=st.floats(-1.0, 1.0, exclude_max=True))
+    def test_even_prior_tail_ratio_is_the_linear_alpha(self, a, s):
+        a_frac, s_frac = Fraction(a), Fraction(s)
+        exact = Fraction(1, 2) + a_frac * (1 + s_frac) / 4
+        assert _tail_ratio_of_cdf_a(a_frac, s_frac) == exact
+        assert LinearAbility(0.5, a)(s) == pytest.approx(float(exact), rel=4e-16, abs=0.0)
 
 
 class TestExactVerdict:
