@@ -193,6 +193,41 @@ def alpha_from_json(obj: dict | str) -> AlphaSpec:
     raise DomainError(f"unknown alpha kind {kind!r}")
 
 
+def _check_grid_size(grid_size: int) -> int:
+    """The one rule for a check-grid size: an odd integer >= 3, so the
+    grid holds -1, 0 and +1."""
+    n = _integer(grid_size, "grid_size")
+    if n < 3 or n % 2 == 0:
+        raise DomainError(f"grid_size must be an odd integer >= 3, got {grid_size!r}")
+    return n
+
+
+#: The default check-grid size.
+DEFAULT_GRID = 1001
+
+
+@functools.lru_cache(maxsize=8)
+def check_grid(n: int) -> np.ndarray:
+    """The n-point grid over [-1, +1], n >= 2: t_k = (2k - (n - 1)) / (n - 1).
+
+    Each point is one correctly rounded quotient of integers, and t_k and
+    t_(n-1-k) have opposite numerators, so ``grid[::-1] == -grid`` exactly
+    at every n, even or odd, and -1 and +1 are exact.  A pointwise
+    callable's values on -grid are thus its values on the grid reversed,
+    which the solvers read instead of evaluating twice (``np.linspace``
+    misses this at 436 of 1001 points).  Only an odd n puts 0 on the grid
+    (at k = (n - 1)/2), so a check grid's size is odd
+    (``_check_grid_size``); the CLI's ``solve`` and ``posterior`` write
+    these points for any --grid >= 2.
+
+    Built once per size and shared by every call, so it is read-only:
+    whatever hands it to a caller copies it first.
+    """
+    grid = np.arange(-(n - 1), n, 2, dtype=float) / (n - 1)
+    grid.flags.writeable = False
+    return grid
+
+
 @dataclass(frozen=True)
 class CoefficientPair:
     """Coefficients of the affine relation H(-t) = gamma(t) + delta(t) * H(t).
@@ -205,7 +240,7 @@ class CoefficientPair:
     gamma: Callable
     delta: Callable
 
-    def singularity_gap(self, grid_size: int = 1001) -> tuple[float, float]:
+    def singularity_gap(self, grid_size: int = DEFAULT_GRID) -> tuple[float, float]:
         """Smallest |1 - delta(t)*delta(-t)| on the grid and its location;
         delta(-t) is delta on the antisymmetric grid, reversed."""
         t = check_grid(_check_grid_size(grid_size))
@@ -214,9 +249,9 @@ class CoefficientPair:
         i = int(gap.argmin())
         return float(gap[i]), float(t[i])
 
-    def is_solvable(self, grid_size: int = 1001, tol: float = EQUALITY_TOL) -> bool:
+    def is_solvable(self, grid_size: int = DEFAULT_GRID) -> bool:
         gap, _ = self.singularity_gap(grid_size)
-        return gap >= tol
+        return gap >= EQUALITY_TOL
 
 
 class Provenance(enum.Enum):
@@ -279,37 +314,6 @@ class SolvedCdf:
         )
 
 
-def _check_grid_size(grid_size: int) -> int:
-    """The one rule for a check-grid size: an odd integer >= 3, so the
-    grid holds -1, 0 and +1."""
-    n = _integer(grid_size, "grid_size")
-    if n < 3 or n % 2 == 0:
-        raise DomainError(f"grid_size must be an odd integer >= 3, got {grid_size!r}")
-    return n
-
-
-@functools.lru_cache(maxsize=8)
-def check_grid(n: int) -> np.ndarray:
-    """The n-point grid over [-1, +1], n >= 2: t_k = (2k - (n - 1)) / (n - 1).
-
-    Each point is one correctly rounded quotient of integers, and t_k and
-    t_(n-1-k) have opposite numerators, so ``grid[::-1] == -grid`` exactly
-    at every n, even or odd, and -1 and +1 are exact.  A pointwise
-    callable's values on -grid are thus its values on the grid reversed,
-    which the solvers read instead of evaluating twice (``np.linspace``
-    misses this at 436 of 1001 points).  Only an odd n puts 0 on the grid
-    (at k = (n - 1)/2), so a check grid's size is odd
-    (``_check_grid_size``); the CLI's ``solve`` and ``posterior`` write
-    these points for any --grid >= 2.
-
-    Built once per size and shared by every call, so it is read-only:
-    whatever hands it to a caller copies it first.
-    """
-    grid = np.arange(-(n - 1), n, 2, dtype=float) / (n - 1)
-    grid.flags.writeable = False
-    return grid
-
-
 def evaluate_on(fn: Callable, grid: np.ndarray) -> np.ndarray:
     """Evaluate a callable on a grid, falling back to a scalar loop.
 
@@ -329,16 +333,16 @@ def evaluate_on(fn: Callable, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def cdf_axioms_hold(evaluator: Callable, grid_size: int = 1001, tol: float = EQUALITY_TOL) -> bool:
+def cdf_axioms_hold(evaluator: Callable, grid_size: int = DEFAULT_GRID) -> bool:
     """Check monotonicity and endpoint pinning of an evaluator on a grid."""
-    return cdf_values_ok(evaluate_on(evaluator, check_grid(_check_grid_size(grid_size))), tol)
+    return cdf_values_ok(evaluate_on(evaluator, check_grid(_check_grid_size(grid_size))))
 
 
-def cdf_values_ok(h: np.ndarray, tol: float = EQUALITY_TOL) -> bool:
+def cdf_values_ok(h: np.ndarray) -> bool:
     """``cdf_axioms_hold`` for values already evaluated on a grid over [-1, +1]."""
     h = np.asarray(h)
     if not np.isfinite(h).all():
         return False
-    if abs(h[0]) > tol or abs(h[-1] - 1.0) > tol:
+    if abs(h[0]) > EQUALITY_TOL or abs(h[-1] - 1.0) > EQUALITY_TOL:
         return False
-    return bool((h[1:] - h[:-1] >= -tol).all())
+    return bool((h[1:] - h[:-1] >= -EQUALITY_TOL).all())

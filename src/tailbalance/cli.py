@@ -3,8 +3,9 @@
 Every subcommand prints a reproducibility header (artifact version plus
 the fully resolved command spec), then plot-ready rows in CSV or JSON.
 Exit codes: 0 success, 1 for usage and validation problems (the message
-names the offending field), 2 when a solver reports a mathematical
-degeneracy or a verification fails.
+names the offending field) and for an allocation the machine cannot
+serve (``error: not enough memory: ...``), 2 when a solver reports a
+mathematical degeneracy or a verification fails.
 """
 
 from __future__ import annotations
@@ -476,6 +477,9 @@ def main(argv=None):
         sys.exit(1)
     except DomainError as exc:
         click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
+    except MemoryError as exc:
+        click.echo(f"error: not enough memory: {exc}", err=True)
         sys.exit(1)
     except SolverError as exc:
         click.echo(str(exc), err=True)

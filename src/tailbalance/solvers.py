@@ -14,39 +14,31 @@ values rather than assumed.
 
 Every check grid comes from ``check_grid``, built once per size, shared
 read-only and exactly antisymmetric, so a pointwise callable's values on
--grid are its values on the grid reversed.  Each solver's check
-therefore evaluates every input once per grid point: ``solve_odds``
-(and so ``solve_balanced``) evaluates alpha once on the grid, besides
-its alpha(-1) probe, ``solve_affine_pair`` gamma and delta once each,
-and ``residual_check`` H and alpha once each; the values at -t are the
-reversed arrays, read as views.  ``solve_odds`` and ``solve_affine_pair``
-compute H, the residual and validity from those arrays through the same
-H formula the returned evaluator runs, so they equal bit for bit what a
-fresh ``residual_check`` of the evaluator reports.  The closed forms
-and the decomposition solver check their evaluator as
-``residual_check`` does, on the shared grid itself.  Each evaluator is a
-bare array-in/array-out core; ``SolvedCdf`` adapts scalars, lists and
-0-d arrays to it.  On the default 1001-point grid a call costs about
-40-90 us in process (2-CPU x86, numpy 2.4), mostly fixed numpy dispatch
-over a dozen or so array operations.
+-grid are its values on the grid reversed, read as views.  Each check
+therefore evaluates every input once per grid point: alpha in
+``solve_odds`` (besides its alpha(-1) probe), gamma and delta in
+``solve_affine_pair``, H and alpha in the others.  ``residual_check``
+and every tail-balance solver run the one residual pass, ``_residual``,
+on those values, and every solver returns through ``_finish``, so a
+solver's ``max_residual`` and ``is_valid_cdf`` equal, bit for bit, what
+a fresh check of its evaluator reports; only ``residual_check`` builds
+a ``ResidualReport``.  Each evaluator is a bare array-in/array-out core;
+``SolvedCdf`` adapts scalars, lists and 0-d arrays to it.  On the
+default 1001-point grid a call costs about 40-90 us in process (2-CPU
+x86, numpy 2.4), mostly fixed numpy dispatch.
 
-Each formula writes its intermediates into arrays the call allocated,
-never into one a caller passed in or will see again, in the operand
-order of the formula written out as one expression, so every value is
-that expression's bit for bit.  What this buys shows on the 20001-point
-grid: glibc hands the freed top of the heap back to the OS after every
-call and faults it in again on the next, so a call's cost follows the
-most grid-sized arrays it holds at once.  That peak is about 4.4 arrays
-for a solver and 5.4 for ``residual_check``, which hands back its own
-copy of t (tracemalloc); the one-expression forms held 7.4
-(``closed_form_linear_odds``) and 8.4 (``solve_odds``).  Minor page
-faults per call (``resource.getrusage`` over 200 calls, 2-CPU x86,
-glibc, numpy 2.4): ``closed_form_linear_odds`` about 46,
-``solve_balanced`` 94, ``solve_odds`` above theta = 1/2 86 and
-``residual_check`` 124, against 124, 209, 163 and 202 when each check
-evaluated its inputs on -grid a second time; a
-``closed_form_linear_odds`` call takes about 0.3-0.45 ms, against
-0.5-0.7 ms then.
+Each formula but ``solve_affine_pair``'s writes its intermediates into
+arrays the call allocated, never into a caller's, in the operand order
+of the formula written as one expression, so every value is that
+expression's bit for bit.  On the 20001-point grid glibc hands the freed
+heap top back to the OS after every call and faults it in again on the
+next, so a call's cost follows its peak count of grid-sized arrays
+(tracemalloc): about 4.4 for ``residual_check`` and the solvers, and 7.0
+for ``solve_affine_pair``, which writes one-expression formulas.  Minor
+faults per call (``resource.getrusage`` over 200 calls, same host): about
+46 for ``closed_form_linear_odds`` and ``residual_check``, 85 for
+``solve_odds`` above theta = 1/2, 92 for ``solve_balanced`` and 219 for
+``solve_affine_pair``.
 
 Every formula is evaluated in its alpha form.  The equivalent
 odds-transform form divides by 1 - alpha(t), which is 0 at t = +1
@@ -61,8 +53,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .alpha import (
-    EQUALITY_TOL,
     BOUNDARY_TOL,
+    DEFAULT_GRID,
+    EQUALITY_TOL,
     AlphaSpec,
     CoefficientPair,
     LinearAbility,
@@ -83,8 +76,6 @@ from .errors import (
 )
 from .signals import Prior, _cdf_on_support, _check_ability, _check_prior, _number
 
-DEFAULT_GRID = 1001
-
 _BALANCED_PRIOR = Prior(0.5)
 
 
@@ -96,7 +87,8 @@ def _uniform_solution(provenance: Provenance, alpha: AlphaSpec, prior: Prior,
         out /= 2.0
         return out
 
-    return _finish(core, provenance, _grid_report(core, alpha, prior, grid_size))
+    h_pos, _, residual = _grid_check(core, alpha, prior, grid_size)
+    return _finish(core, provenance, h_pos, residual)
 
 
 def _clamp(t):
@@ -105,15 +97,16 @@ def _clamp(t):
     return np.minimum(out, 1.0, out=out)
 
 
-def _finish(evaluator, provenance: Provenance, report: ResidualReport) -> SolvedCdf:
-    """Attach a residual report's measured residual and validity (judged
-    on the report's own H values, the evaluator's on the grid) to an
-    evaluator."""
+def _finish(evaluator, provenance: Provenance, h_on_grid: np.ndarray,
+            residual: np.ndarray) -> SolvedCdf:
+    """The one way a solver returns: its evaluator with the largest
+    residual (NaN if any is NaN) and the validity of its values on the
+    check grid, which are the evaluator's there bit for bit."""
     return SolvedCdf(
         evaluator=evaluator,
         provenance=provenance,
-        max_residual=report.max_residual,
-        is_valid_cdf=cdf_values_ok(report.h),
+        max_residual=float(residual.max()),
+        is_valid_cdf=cdf_values_ok(h_on_grid),
     )
 
 
@@ -186,13 +179,8 @@ def solve_affine_pair(coeffs: CoefficientPair, *,
     # symmetric)
     g_pos = evaluate_on(coeffs.gamma, grid)
     h_pos = h(g_pos, g_pos[::-1], d_neg, gap)
-    residual = np.abs(h_pos[::-1] - g_pos - d_pos * h_pos)
-    return SolvedCdf(
-        evaluator=core,
-        provenance=Provenance.AFFINE_PAIR,
-        max_residual=float(residual.max()),
-        is_valid_cdf=cdf_values_ok(h_pos),
-    )
+    return _finish(core, Provenance.AFFINE_PAIR, h_pos,
+                   np.abs(h_pos[::-1] - g_pos - d_pos * h_pos))
 
 
 def solve_odds(alpha: AlphaSpec, prior: Prior, *,
@@ -288,8 +276,8 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
     # the evaluator's values on the grid, bit for bit; reversed, they are
     # its values on -grid, as every formula step is elementwise
     h_pos = h(a_pos - boundary, a_neg, den)
-    return _finish(core, Provenance.ODDS_FORMULA,
-                   _report(grid, h_pos, a_pos, prior.odds_lambda))
+    return _finish(core, Provenance.ODDS_FORMULA, h_pos,
+                   _residual(h_pos, a_pos, prior.odds_lambda))
 
 
 def closed_form_linear_odds(a: float, prior: Prior, *,
@@ -331,7 +319,8 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
             out *= np.divide(a, factor, out=factor)
         return out
 
-    return _finish(core, Provenance.CLOSED_FORM_LINEAR, _grid_report(core, alpha, prior, n))
+    h_pos, _, residual = _grid_check(core, alpha, prior, n)
+    return _finish(core, Provenance.CLOSED_FORM_LINEAR, h_pos, residual)
 
 
 def decomposition_parts(a: float):
@@ -371,9 +360,9 @@ def alt_decomposition_solver(a: float, *,
     def core(t):
         return (f(t) + g(t)) / 2.0
 
-    return _finish(core, Provenance.DECOMPOSITION,
-                   _grid_report(core, LinearAbility(0.5, float(a)), _BALANCED_PRIOR,
-                                _check_grid_size(grid_size)))
+    h_pos, _, residual = _grid_check(core, LinearAbility(0.5, float(a)), _BALANCED_PRIOR,
+                                     _check_grid_size(grid_size))
+    return _finish(core, Provenance.DECOMPOSITION, h_pos, residual)
 
 
 @dataclass(frozen=True)
@@ -407,12 +396,11 @@ def _tail_ratio(h_pos: np.ndarray, h_neg: np.ndarray, lam: float):
     return ratio, den
 
 
-def _report(grid: np.ndarray, h_pos: np.ndarray, a_vals: np.ndarray,
-            lam: float) -> ResidualReport:
-    """The residual report of H on the grid against alpha there, with
-    H(-grid) read as H(grid) reversed: ``residual_check`` and the
-    solvers' own grid passes, which hand in the shared grid and, for
-    ``solve_odds``, the values it already has."""
+def _residual(h_pos: np.ndarray, a_vals: np.ndarray, lam: float) -> np.ndarray:
+    """The one residual pass: |ratio - alpha| of H on the check grid
+    against alpha there, and |ratio - 1| at t = +1, with H(-grid) read as
+    H(grid) reversed.  ``residual_check`` and every tail-balance solver
+    run it."""
     ratio, den = _tail_ratio(h_pos, h_pos[::-1], lam)
     ratio[(den == 0.0) & np.isnan(ratio)] = 1.0  # an exact 0/0
     # |ratio - alpha|, and |ratio - 1| at t = +1, written into ratio: on a
@@ -421,16 +409,7 @@ def _report(grid: np.ndarray, h_pos: np.ndarray, a_vals: np.ndarray,
     last = ratio[-1]
     residual = np.subtract(ratio, a_vals, out=ratio)
     residual[-1] = last - 1.0
-    np.abs(residual, out=residual)
-    i = int(residual.argmax())
-    return ResidualReport(
-        t=grid,
-        h=h_pos,
-        alpha=a_vals,
-        residual=residual,
-        max_residual=float(residual[i]),
-        argmax_t=float(grid[i]),
-    )
+    return np.abs(residual, out=residual)
 
 
 def residual_check(h, alpha: AlphaSpec, prior: Prior,
@@ -448,17 +427,25 @@ def residual_check(h, alpha: AlphaSpec, prior: Prior,
     """
     n = _check_grid_size(grid_size)
     _check_prior(prior)
-    return _grid_report(h, alpha, prior, n, copy=True)
-
-
-def _grid_report(h, alpha: AlphaSpec, prior: Prior, n: int, *,
-                 copy: bool = False) -> ResidualReport:
-    """``residual_check`` on the n-point grid; its ``t`` is the shared
-    read-only grid unless ``copy`` asks for a copy a caller may keep.
-    The solvers' own checks, whose reports never leave them, skip it."""
+    h_pos, a_vals, residual = _grid_check(h, alpha, prior, n)
     grid = check_grid(n)
-    return _report(grid.copy() if copy else grid, evaluate_on(h, grid),
-                   evaluate_on(alpha, grid), prior.odds_lambda)
+    i = int(residual.argmax())
+    return ResidualReport(
+        t=grid.copy(),  # the shared grid is read-only
+        h=h_pos,
+        alpha=a_vals,
+        residual=residual,
+        max_residual=float(residual[i]),
+        argmax_t=float(grid[i]),
+    )
+
+
+def _grid_check(h, alpha: AlphaSpec, prior: Prior, n: int):
+    """H, alpha and the residual on the n-point check grid."""
+    grid = check_grid(n)
+    h_pos = evaluate_on(h, grid)
+    a_vals = evaluate_on(alpha, grid)
+    return h_pos, a_vals, _residual(h_pos, a_vals, prior.odds_lambda)
 
 
 def posterior_tail(h, t, prior: Prior):

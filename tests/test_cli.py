@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -396,6 +397,34 @@ class TestOversizedTrials:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: trials must lie in [1, 2**63), got 9223372036854775808"]
+
+
+def cap_address_space():
+    """Limit the child calling this to 1 GiB of address space."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+class TestUnservedAllocation:
+    """A size the CLI accepts but the machine cannot allocate ends in the
+    CLI's error line, not a traceback.  The calls run in child processes
+    under a 1 GiB address-space cap, so the allocation fails at once
+    rather than exhausting the host."""
+
+    @pytest.mark.parametrize("args", [
+        ("sample", "--a", "0.5", "--n", "300000000"),  # a 2.24 GiB draw array
+        ("verify", "--a", "0.6", "--grid", "200000001"),  # a 1.49 GiB grid
+    ], ids=["sample", "verify"])
+    def test_exits_one_with_an_error_line(self, args):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        result = subprocess.run(RUN + list(args), capture_output=True, text=True, env=env,
+                                preexec_fn=cap_address_space)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("error: not enough memory: "), result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
 
 class TestNaNInputs:

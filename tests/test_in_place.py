@@ -14,13 +14,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tailbalance import (
+    CoefficientPair,
     DegenerateAlpha,
     LinearAbility,
     Prior,
+    alt_decomposition_solver,
+    cdf_given_A,
     closed_form_linear,
     closed_form_linear_odds,
     posterior_tail,
     residual_check,
+    solve_affine_pair,
     solve_balanced,
     solve_odds,
 )
@@ -226,23 +230,34 @@ def peak_grids(call):
             tracemalloc.stop()
 
 
+#: The affine pair of the benchmark's sweep, H(-t) = gamma(t) + c*H(t)
+#: built from the CDF it must return, at a = 0.6 and c = 0.4.
+SWEEP_PAIR = CoefficientPair(
+    gamma=lambda t: np.asarray(cdf_given_A(0.6, -np.asarray(t)))
+    - 0.4 * np.asarray(cdf_given_A(0.6, t)),
+    delta=lambda t: np.full(np.shape(t), 0.4))
+
+
 @pytest.mark.parametrize("solve, bound", [
     (lambda: closed_form_linear_odds(0.7, Prior(0.3), grid_size=LARGE), 4.9),
+    (lambda: closed_form_linear(0.6, grid_size=LARGE), 4.9),
+    (lambda: alt_decomposition_solver(0.6, grid_size=LARGE), 4.9),
     (lambda: solve_odds(LinearAbility(0.3, 0.6), Prior(0.3), grid_size=LARGE), 4.9),
     (lambda: solve_odds(LinearAbility(0.8, 0.6), Prior(0.8), grid_size=LARGE), 4.9),
     (lambda: solve_balanced(LinearAbility(0.5, 0.6), grid_size=LARGE), 4.9),
+    (lambda: solve_affine_pair(SWEEP_PAIR, grid_size=LARGE), 7.5),
     (lambda h=closed_form_linear(0.6): residual_check(h, LinearAbility(0.5, 0.6), Prior(0.5),
-                                                      LARGE), 5.9),
-], ids=["closed-form-odds", "odds-theta-below-half", "odds-theta-above-half", "balanced",
-        "residual-check"])
+                                                      LARGE), 4.9),
+], ids=["closed-form-odds", "closed-form-balanced", "decomposition", "odds-theta-below-half",
+        "odds-theta-above-half", "balanced", "affine-pair", "residual-check"])
 def test_large_grid_call_holds_few_grid_arrays(solve, bound):
-    """A 20001-point solver call peaks at about 4.4 grid-sized arrays:
-    its outputs, its inputs and the two arrays of one kernel step; H and
-    alpha on -grid are views of their values on the grid, reversed.  The
-    written-out expressions held 7.4 (closed form) and 8.4 (solve_odds),
-    and glibc trims the freed heap top and faults it in again on every
-    call, so each array more costs about 40 page faults a call.  The
-    public ``residual_check`` holds one more, the copy of t it hands
-    back."""
+    """A 20001-point solver call, and ``residual_check``, peaks at about
+    4.4 grid-sized arrays: its outputs, its inputs and the two arrays of
+    one kernel step; H and alpha on -grid are views of their values on
+    the grid, reversed, and ``residual_check`` copies t only after the
+    residual pass.  ``solve_affine_pair`` writes one-expression formulas
+    and peaks at about 7.0.  glibc trims the freed heap top and faults it
+    in again on every call, so each array more costs about 40 page
+    faults a call."""
     solve()  # builds the cached grid
     assert peak_grids(solve) < bound
