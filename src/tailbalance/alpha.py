@@ -340,9 +340,16 @@ def cdf_axioms_hold(evaluator: Callable, grid_size: int = DEFAULT_GRID) -> bool:
 
 def cdf_values_ok(h: np.ndarray) -> bool:
     """``cdf_axioms_hold`` for values already evaluated on a grid over [-1, +1]."""
-    h = np.asarray(h)
-    if not np.isfinite(h).all():
+    return _values_ok(np.asarray(h))
+
+
+def _values_ok(h: np.ndarray, diff=None, finite=None) -> bool:
+    """``cdf_values_ok`` of an array, writing its successive differences
+    into ``diff`` (len(h) - 1 floats) and its finiteness into ``finite``
+    (len(h) bools), each a new array when None."""
+    if not np.isfinite(h, out=finite).all():
         return False
     if abs(h[0]) > EQUALITY_TOL or abs(h[-1] - 1.0) > EQUALITY_TOL:
         return False
-    return bool((h[1:] - h[:-1] >= -EQUALITY_TOL).all())
+    # a difference of finite values is never NaN, so its minimum decides
+    return bool(np.minimum.reduce(np.subtract(h[1:], h[:-1], out=diff)) >= -EQUALITY_TOL)

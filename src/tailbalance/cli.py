@@ -159,6 +159,7 @@ def _read_h_table(path: str) -> SolvedCdf:
     except OSError as exc:
         raise click.UsageError(f"cannot read --h table {path!r}: {exc}")
     points = []
+    header = False  # at most one non-numeric line, before the first row
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -167,9 +168,9 @@ def _read_h_table(path: str) -> SolvedCdf:
         try:
             points.append((float(parts[0]), float(parts[1])))
         except (ValueError, IndexError):
-            if points:
+            if points or header:
                 raise click.UsageError(f"malformed row in --h table {path!r}: {line!r}")
-            continue
+            header = True
     if len(points) < 2:
         raise click.UsageError(f"--h table {path!r} contains no data rows")
     return SolvedCdf.from_table(points)

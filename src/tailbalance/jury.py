@@ -259,9 +259,10 @@ def _level_walk(abilities: np.ndarray, theta: float, tie_break: TieBreak,
     (``_mean_split``), by a binomial draw of counts for Monte Carlo
     (``_simulate``).  A children that reach a majority are banked
     per order with ``np.bincount``; they, B children that reach a
-    majority and children of zero weight leave the frontier.  Compaction
-    is stable, so an order's results agree bit for bit alone or in a
-    batch.
+    majority and children of zero weight leave the frontier, and the walk
+    stops at the first empty one, as an empty level banks nothing and
+    draws nothing.  Compaction is stable, so an order's results agree bit
+    for bit alone or in a batch.
 
     A level makes about 45 array calls whatever its width, so a narrow
     tree costs mostly that: with every ability 0.9, or every ability
@@ -280,6 +281,8 @@ def _level_walk(abilities: np.ndarray, theta: float, tie_break: TieBreak,
     column = abilities[0].tolist() if orders == 1 else None
     for i in range(n):
         m = len(row)
+        if not m:  # every history decided or weightless: the rest is empty
+            break
         q = _posterior_given_history(theta, ll[0], ll[1])
         a = column[i] if orders == 1 else abilities[row, i]
         c = np.empty((2, 2 * m))

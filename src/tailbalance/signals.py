@@ -111,7 +111,7 @@ def _check_state(state: StateOfNature) -> StateOfNature:
     return state
 
 
-def _cdf_on_support(a, t, sign, out=None):
+def _cdf_on_support(a, t, sign, out=None, work=(None, None)):
     """Signal CDF for t in [-1, +1], unchecked:
     (t + 1) * (sign * (a*t - a) + 2) / 4.
 
@@ -121,16 +121,20 @@ def _cdf_on_support(a, t, sign, out=None):
     does.  ``a`` and ``sign`` broadcast against ``t``, so a column of
     both signs gives both states' rows from one t + 1 and one a*t - a.
 
-    The middle steps write into an array this call allocated, in the
-    formula's own operand order, so the values are the written-out
-    formula's bit for bit while at most two such arrays are live; only
-    the last writes ``out``, which for the jury is a strided view that
-    every further pass over it would cost.  A 0-d ``t`` gives numpy
-    scalars, which the augmented operators rebind instead of writing.
+    The middle steps write into arrays this call allocated, or into the
+    two arrays of ``work`` (for scalar ``a`` and ``sign`` only; the first
+    may be ``out``), in the formula's own operand order, so the values
+    are the written-out formula's bit for bit while at most two such
+    arrays are live; only the last writes ``out``, which for the jury is
+    a strided view that every further pass over it would cost.  A 0-d
+    ``t`` gives numpy scalars, which the augmented operators rebind
+    instead of writing.
     """
-    p = sign * (a * t - a)
+    p = np.multiply(a, t, out=work[0])
+    p -= a
+    p = np.multiply(sign, p, out=work[0])
     p += 2.0
-    p *= t + 1.0
+    p *= np.add(t, 1.0, out=work[1])
     return np.divide(p, 4.0, out=out)
 
 

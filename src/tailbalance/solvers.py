@@ -27,18 +27,24 @@ a ``ResidualReport``.  Each evaluator is a bare array-in/array-out core;
 default 1001-point grid a call costs about 40-90 us in process (2-CPU
 x86, numpy 2.4), mostly fixed numpy dispatch.
 
-Each formula but ``solve_affine_pair``'s writes its intermediates into
-arrays the call allocated, never into a caller's, in the operand order
-of the formula written as one expression, so every value is that
-expression's bit for bit.  On the 20001-point grid glibc hands the freed
-heap top back to the OS after every call and faults it in again on the
-next, so a call's cost follows its peak count of grid-sized arrays
-(tracemalloc): about 4.4 for ``residual_check`` and the solvers, and 7.0
-for ``solve_affine_pair``, which writes one-expression formulas.  Minor
-faults per call (``resource.getrusage`` over 200 calls, same host): about
-46 for ``closed_form_linear_odds`` and ``residual_check``, 85 for
-``solve_odds`` above theta = 1/2, 92 for ``solve_balanced`` and 219 for
-``solve_affine_pair``.
+Each formula writes its intermediates in the operand order of the
+formula written as one expression, so every value is that expression's
+bit for bit, and never into a caller's array.  Every grid pass but
+``solve_affine_pair``'s writes them into the calling thread's scratch
+(``_scratch``: three float and two bool rows per grid size, kept between
+calls within ``_SCRATCH_BYTES``).  After a thread's first call on a grid
+size, a 20001-point tail-balance solver call therefore allocates one
+grid-sized array, alpha's values (a tracemalloc peak of about 1.0 such
+arrays), and ``residual_check`` its four report arrays (4.0), while
+``solve_affine_pair``, which writes one-expression formulas, peaks at
+about 7.0.  In the benchmark's solve-sweep op mix a 20001-point call of
+``solve_odds``, ``solve_balanced`` or ``closed_form_linear_odds`` faults
+in at most 0.04 pages (``resource.getrusage``, same host), against 85
+when each call freed its arrays and glibc handed the heap top back to
+the OS.  A process that solves once, as every CLI call does, gains
+nothing from this, nor do 1001-point grids, whose freed arrays the heap
+never trimmed.  Evaluators and ``ResidualReport`` arrays are new arrays
+on every call.
 
 Every formula is evaluated in its alpha form.  The equivalent
 odds-transform form divides by 1 - alpha(t), which is 0 at t = +1
@@ -48,6 +54,7 @@ casing at the right endpoint.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,7 +69,7 @@ from .alpha import (
     Provenance,
     SolvedCdf,
     _check_grid_size,
-    cdf_values_ok,
+    _values_ok,
     check_grid,
     evaluate_on,
 )
@@ -78,36 +85,87 @@ from .signals import Prior, _cdf_on_support, _check_ability, _check_prior, _numb
 
 _BALANCED_PRIOR = Prior(0.5)
 
+#: The most bytes of grid-pass scratch (``_scratch``) a thread keeps
+#: between calls, 26 bytes per grid point: 4 MiB holds the scratch of any
+#: grid up to 161319 points.
+_SCRATCH_BYTES = 4 * 2**20
+_scratch_blocks = threading.local()
+
+
+def _scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch of the calling thread's for one n-point grid pass: a (3, n)
+    float block and a (2, n) bool block, with arbitrary contents.
+
+    A thread keeps the scratch of each grid size it uses, unless it alone
+    exceeds ``_SCRATCH_BYTES``, dropping the oldest sizes while their
+    bytes together do, and hands it to its later n-point passes, so a
+    repeated call writes pages already mapped.  A pass takes it only
+    after its last call into a caller's function, so a callable that
+    itself solves never reaches scratch in use, and no array a caller
+    receives is a view of it.
+    """
+    kept = getattr(_scratch_blocks, "by_size", None)
+    if kept is None:
+        kept = _scratch_blocks.by_size = {}
+    scratch = kept.get(n)
+    if scratch is None:
+        scratch = np.empty((3, n)), np.empty((2, n), dtype=bool)
+        if _nbytes(scratch) <= _SCRATCH_BYTES:
+            kept[n] = scratch
+            total = sum(map(_nbytes, kept.values()))
+            for size in list(kept):  # the oldest first
+                if total <= _SCRATCH_BYTES:
+                    break
+                total -= _nbytes(kept.pop(size))
+    return scratch
+
+
+def _nbytes(scratch) -> int:
+    return sum(block.nbytes for block in scratch)
+
 
 def _uniform_solution(provenance: Provenance, alpha: AlphaSpec, prior: Prior,
                       grid_size: int) -> SolvedCdf:
-    def core(t):
-        out = _clamp(t)
+    def core(t, out=None):
+        out = _clamp(t, out)
         out += 1.0
         out /= 2.0
         return out
 
-    h_pos, _, residual = _grid_check(core, alpha, prior, grid_size)
-    return _finish(core, provenance, h_pos, residual)
+    grid = check_grid(grid_size)
+    a_vals = evaluate_on(alpha, grid)
+    scratch = _scratch(grid_size)
+    return _checked(core, provenance, core(grid, scratch[0][0]), a_vals, prior, scratch)
 
 
-def _clamp(t):
-    """``t`` clamped to [-1, +1] in a new array, NaN kept."""
-    out = np.maximum(t, -1.0)
+def _clamp(t, out=None):
+    """``t`` clamped to [-1, +1] in ``out`` (None: a new array), NaN kept."""
+    out = np.maximum(t, -1.0, out=out)
     return np.minimum(out, 1.0, out=out)
 
 
 def _finish(evaluator, provenance: Provenance, h_on_grid: np.ndarray,
-            residual: np.ndarray) -> SolvedCdf:
+            residual: np.ndarray, diff=None, finite=None) -> SolvedCdf:
     """The one way a solver returns: its evaluator with the largest
     residual (NaN if any is NaN) and the validity of its values on the
-    check grid, which are the evaluator's there bit for bit."""
+    check grid, which are the evaluator's there bit for bit; ``diff`` and
+    ``finite`` are ``_values_ok``'s."""
     return SolvedCdf(
         evaluator=evaluator,
         provenance=provenance,
-        max_residual=float(residual.max()),
-        is_valid_cdf=cdf_values_ok(h_on_grid),
+        max_residual=float(np.maximum.reduce(residual)),
+        is_valid_cdf=_values_ok(h_on_grid, diff, finite),
     )
+
+
+def _checked(evaluator, provenance: Provenance, h_pos: np.ndarray, a_vals: np.ndarray,
+             prior: Prior, scratch) -> SolvedCdf:
+    """``_finish`` for a tail-balance solver, from its H and alpha on the
+    check grid, with the residual pass in ``scratch`` (``_scratch``) but
+    for its first float row, which ``h_pos`` may be."""
+    rows, flags = scratch
+    residual = _residual(h_pos, a_vals, prior.odds_lambda, rows[1], rows[2], flags)
+    return _finish(evaluator, provenance, h_pos, residual, rows[2, :-1], flags[0])
 
 
 def solve_balanced(alpha: AlphaSpec, *, allow_uniform_limit: bool = False,
@@ -220,22 +278,23 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
             f"{theta!r}"
         )
 
-    def scaled_den(at, an):
-        # each form step by step in two new arrays, in its own operand
-        # order, so the values are the written-out forms' bit for bit
+    def scaled_den(at, an, den, work):
+        # each form step by step in den and work (None: new arrays), in
+        # its own operand order, so the values are the written-out forms'
+        # bit for bit
         if theta <= 0.5:
             # theta**2 * (at + (an - 1)) + (1 - 2*theta) * at * an
-            den = an - 1.0
+            den = np.subtract(an, 1.0, out=den)
             den += at
             den *= theta * theta
-            cross = np.multiply(1.0 - 2.0 * theta, at)
+            cross = np.multiply(1.0 - 2.0 * theta, at, out=work)
             cross *= an
             den += cross
             return den
         # (1 - theta)**2 * at * an - theta**2 * (1 - at) * (1 - an)
-        tails = np.subtract(1.0, at)
+        tails = np.subtract(1.0, at, out=work)
         tails *= theta * theta
-        den = np.subtract(1.0, an)
+        den = np.subtract(1.0, an, out=den)
         tails *= den
         np.multiply((1.0 - theta) ** 2, at, out=den)
         den *= an
@@ -245,39 +304,41 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
     grid = check_grid(n)
     a_pos = evaluate_on(alpha, grid)
     a_neg = a_pos[::-1]  # alpha on -grid: the grid is antisymmetric
-    den = scaled_den(a_pos, a_neg)
-    # |den| <= band as two comparisons, with no |den| array; <=: below
-    # theta ~ 1e-154 the band underflows to 0, and a den of exactly 0 (a
-    # 0/0 in every H) must still be caught
-    band = EQUALITY_TOL * (theta * theta)
-    if ((den <= band) & (den >= -band)).any():
-        if allow_uniform_limit and np.abs(a_pos - theta).max() <= EQUALITY_TOL:
+    scratch = _scratch(n)
+    rows = scratch[0]
+    den = scaled_den(a_pos, a_neg, rows[0], rows[1])
+    # some |den| <= band; fmin skips NaN, and <=: below theta ~ 1e-154 the
+    # band underflows to 0, and a den of exactly 0 (a 0/0 in every H) must
+    # still be caught
+    size = np.abs(den, out=rows[1])
+    if np.fmin.reduce(size) <= EQUALITY_TOL * (theta * theta):
+        if allow_uniform_limit and np.abs(np.subtract(a_pos, theta, out=rows[2]),
+                                          out=rows[2]).max() <= EQUALITY_TOL:
             return _uniform_solution(Provenance.ODDS_FORMULA, alpha, prior, n)
-        where = float(grid[int(np.abs(den).argmin())])
+        where = float(grid[int(size.argmin())])
         raise DegenerateAlpha(
             f"odds-equation denominator vanishes near t={where!r}; "
             "no unique solution exists there"
         )
 
-    def h(shift, an, den):
+    def h(shift, an, den, work):
         # theta * (at - boundary) * (1 - an) / den from shift = at -
-        # boundary, a scratch array, with the quotient written into den.
+        # boundary, with 1 - an in work and the quotient written into den.
         # 1 - alpha(-t) is exact at the endpoints (Sterbenz), which pins
         # H(+1) to exactly 1 in the balanced case.
         shift *= theta
-        shift *= 1.0 - an
+        shift *= np.subtract(1.0, an, out=work)
         return np.divide(shift, den, out=den)
 
     def core(t):
         at = evaluate_on(alpha, t)
         an = evaluate_on(alpha, -t)
-        return h(at - boundary, an, scaled_den(at, an))
+        return h(at - boundary, an, scaled_den(at, an, None, None), None)
 
     # the evaluator's values on the grid, bit for bit; reversed, they are
     # its values on -grid, as every formula step is elementwise
-    h_pos = h(a_pos - boundary, a_neg, den)
-    return _finish(core, Provenance.ODDS_FORMULA, h_pos,
-                   _residual(h_pos, a_pos, prior.odds_lambda))
+    h_pos = h(np.subtract(a_pos, boundary, out=rows[1]), a_neg, den, rows[2])
+    return _checked(core, Provenance.ODDS_FORMULA, h_pos, a_pos, prior, scratch)
 
 
 def closed_form_linear_odds(a: float, prior: Prior, *,
@@ -307,20 +368,30 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
         )
     lam = prior.odds_lambda
 
-    def core(t):
-        t = _clamp(t)
-        out = _cdf_on_support(a, t, 1.0)
+    def h(t, out, spare):
+        # t in [-1, +1], left unwritten; the CDF in out, with spare for its
+        # middle step and then the factor
+        _cdf_on_support(a, t, 1.0, out, (out, spare))
         if lam != 1.0:  # at lambda = 1, D is exactly a and the factor exactly 1
-            # a / (a + (lam - 1) * (a*a/4) * (1 - t*t)), built in t's array
-            factor = np.multiply(t, t, out=t)
+            # a / (a + (lam - 1) * (a*a/4) * (1 - t*t)), built in spare
+            factor = np.multiply(t, t, out=spare)
             np.subtract(1.0, factor, out=factor)
             factor *= (lam - 1.0) * (a * a / 4.0)
             factor += a
             out *= np.divide(a, factor, out=factor)
         return out
 
-    h_pos, _, residual = _grid_check(core, alpha, prior, n)
-    return _finish(core, Provenance.CLOSED_FORM_LINEAR, h_pos, residual)
+    def core(t):
+        t = _clamp(t)
+        return h(t, np.empty_like(t), np.empty_like(t))
+
+    grid = check_grid(n)
+    a_vals = evaluate_on(alpha, grid)
+    scratch = _scratch(n)
+    rows = scratch[0]
+    # the clamp is the identity on the grid
+    return _checked(core, Provenance.CLOSED_FORM_LINEAR, h(grid, rows[0], rows[1]), a_vals,
+                    prior, scratch)
 
 
 def decomposition_parts(a: float):
@@ -339,30 +410,50 @@ def decomposition_parts(a: float):
         return out if out.ndim else float(out)
 
     def g(t):
-        t = np.asarray(t, dtype=float)
-        out = (2.0 - a + a * t * t) / 2.0
+        out = _even_part(a, np.asarray(t, dtype=float))
         return out if out.ndim else float(out)
 
     return f, g
+
+
+def _even_part(a: float, t, out=None):
+    """The even part g(t) = (2 - a + a*t*t) / 2, step by step in ``out``
+    (None: a new array); a sum's operands commute exactly, so the values
+    are the written-out formula's bit for bit."""
+    g = np.multiply(a, t, out=out)
+    g *= t
+    g += 2.0 - a
+    g /= 2.0
+    return g
 
 
 def alt_decomposition_solver(a: float, *,
                              grid_size: int = DEFAULT_GRID) -> SolvedCdf:
     """Balanced linear solution rebuilt from its odd/even decomposition.
 
-    Returns H = (f + g) / 2 with the parts from ``decomposition_parts``.
+    Returns H = (f + g) / 2 with the parts of ``decomposition_parts``.
     The evaluation path shares nothing with ``closed_form_linear``'s
     factored polynomial, so agreement between the two is a genuine
     cross-check rather than a restatement.
     """
-    f, g = decomposition_parts(a)
+    a = _check_ability(a)
+    n = _check_grid_size(grid_size)
+
+    def h(t, out, spare):
+        # (f(t) + g(t)) / 2 with f(t) = t + 0.0, in out
+        np.add(t, 0.0, out=out)
+        out += _even_part(a, t, spare)
+        out /= 2.0
+        return out
 
     def core(t):
-        return (f(t) + g(t)) / 2.0
+        return h(t, np.empty_like(t), np.empty_like(t))
 
-    h_pos, _, residual = _grid_check(core, LinearAbility(0.5, float(a)), _BALANCED_PRIOR,
-                                     _check_grid_size(grid_size))
-    return _finish(core, Provenance.DECOMPOSITION, h_pos, residual)
+    a_vals = evaluate_on(LinearAbility(0.5, a), check_grid(n))
+    scratch = _scratch(n)
+    rows = scratch[0]
+    return _checked(core, Provenance.DECOMPOSITION, h(check_grid(n), rows[0], rows[1]),
+                    a_vals, _BALANCED_PRIOR, scratch)
 
 
 @dataclass(frozen=True)
@@ -382,30 +473,31 @@ class ResidualReport:
     argmax_t: float
 
 
-def _tail_ratio(h_pos: np.ndarray, h_neg: np.ndarray, lam: float):
+def _tail_ratio(h_pos: np.ndarray, h_neg: np.ndarray, lam: float, ratio=None, den=None):
     """From H(t) and H(-t): the quotient (1 - H(t)) / (1 - H(t) +
-    lambda*H(-t)) and its denominator, in two new arrays.  The quotient
-    is inf or NaN where the denominator is 0, for the caller to resolve;
-    there it is NaN exactly where 1 - H(t) is 0, since a NaN 1 - H(t)
-    makes the denominator NaN too."""
-    ratio = np.subtract(1.0, h_pos)
-    den = np.multiply(lam, h_neg)
+    lambda*H(-t)) and its denominator, in ``ratio`` and ``den`` (None: new
+    arrays).  The quotient is inf or NaN where the denominator is 0, for
+    the caller to resolve; there it is NaN exactly where 1 - H(t) is 0,
+    since a NaN 1 - H(t) makes the denominator NaN too."""
+    ratio = np.subtract(1.0, h_pos, out=ratio)
+    den = np.multiply(lam, h_neg, out=den)
     den += ratio
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(ratio, den, out=ratio)
     return ratio, den
 
 
-def _residual(h_pos: np.ndarray, a_vals: np.ndarray, lam: float) -> np.ndarray:
+def _residual(h_pos: np.ndarray, a_vals: np.ndarray, lam: float, out: np.ndarray,
+              den: np.ndarray, flags: np.ndarray) -> np.ndarray:
     """The one residual pass: |ratio - alpha| of H on the check grid
     against alpha there, and |ratio - 1| at t = +1, with H(-grid) read as
-    H(grid) reversed.  ``residual_check`` and every tail-balance solver
-    run it."""
-    ratio, den = _tail_ratio(h_pos, h_pos[::-1], lam)
-    ratio[(den == 0.0) & np.isnan(ratio)] = 1.0  # an exact 0/0
-    # |ratio - alpha|, and |ratio - 1| at t = +1, written into ratio: on a
-    # 20001-point grid each further array is about 40 fresh pages, which
-    # glibc hands back to the OS after every call and faults in again
+    H(grid) reversed, written into ``out``; ``den`` takes the ratio's
+    denominator and ``flags``' two rows its 0/0s.  ``residual_check`` and
+    every tail-balance solver run it."""
+    ratio, den = _tail_ratio(h_pos, h_pos[::-1], lam, out, den)
+    undefined = np.equal(den, 0.0, out=flags[0])
+    undefined &= np.isnan(ratio, out=flags[1])
+    np.copyto(ratio, 1.0, where=undefined)  # an exact 0/0
     last = ratio[-1]
     residual = np.subtract(ratio, a_vals, out=ratio)
     residual[-1] = last - 1.0
@@ -427,8 +519,11 @@ def residual_check(h, alpha: AlphaSpec, prior: Prior,
     """
     n = _check_grid_size(grid_size)
     _check_prior(prior)
-    h_pos, a_vals, residual = _grid_check(h, alpha, prior, n)
     grid = check_grid(n)
+    h_pos = evaluate_on(h, grid)
+    a_vals = evaluate_on(alpha, grid)
+    rows, flags = _scratch(n)
+    residual = _residual(h_pos, a_vals, prior.odds_lambda, np.empty(n), rows[0], flags)
     i = int(residual.argmax())
     return ResidualReport(
         t=grid.copy(),  # the shared grid is read-only
@@ -438,14 +533,6 @@ def residual_check(h, alpha: AlphaSpec, prior: Prior,
         max_residual=float(residual[i]),
         argmax_t=float(grid[i]),
     )
-
-
-def _grid_check(h, alpha: AlphaSpec, prior: Prior, n: int):
-    """H, alpha and the residual on the n-point check grid."""
-    grid = check_grid(n)
-    h_pos = evaluate_on(h, grid)
-    a_vals = evaluate_on(alpha, grid)
-    return h_pos, a_vals, _residual(h_pos, a_vals, prior.odds_lambda)
 
 
 def posterior_tail(h, t, prior: Prior):

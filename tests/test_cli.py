@@ -181,6 +181,22 @@ class TestVerifyCommand:
         result = run_cli("verify", "--a", "0.6", "--h", "/nonexistent/h.csv")
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("edit, row", [
+        (lambda lines, i: lines[:i] + ["-1,oops"] + lines[i + 1:], "-1,oops"),
+        (lambda lines, i: lines[:i] + ["t2,H2"] + lines[i:], "t2,H2"),
+    ], ids=["bad-first-row", "second-header"])
+    def test_table_skips_one_header_and_refuses_other_rows(self, edit, row, tmp_path):
+        """Only one non-numeric line before the data is a header; any
+        other is refused, by name, as a malformed row."""
+        lines = run_cli("solve", "--a", "0.6", "--grid", "5", check=0).stdout.splitlines()
+        first = lines.index("t,H") + 1
+        table = tmp_path / "h.csv"
+        table.write_text("\n".join(edit(lines, first)) + "\n")
+        result = run_cli("verify", "--a", "0.6", "--h", str(table), "--grid", "5", check=1)
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == (
+            f"Error: malformed row in --h table {str(table)!r}: {row!r}")
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-12", "-inf"])
     def test_meaningless_tol_exits_one(self, tol, capsys):
         with pytest.raises(SystemExit) as exc:

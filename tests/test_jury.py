@@ -986,3 +986,33 @@ def test_level_walk_equals_the_walk_before_bit_for_bit(orders, theta, tie_break,
     after = jury._level_walk(orders, theta, tie_break, np.stack((w_a, w_b)),
                              binomial_split(seed, n_a, n_b))
     assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+def test_level_walk_stops_at_the_first_empty_frontier():
+    """0.95 then a hundred 0.05 jurors herd behind the first vote, so every
+    history is decided by level 51 of 101: the walk splits 51 times, and
+    its exact and drawn values are the full walk's."""
+    orders = np.array([[0.95] + [0.05] * 100])
+    ones = np.ones(1)
+    widths = []
+
+    def counted(split):
+        def call(w, c):
+            widths.append(w.shape[1])
+            return split(w, c)
+        return call
+
+    after = jury._level_walk(orders, 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, np.ones((2, 1)),
+                             counted(jury._mean_split))
+    assert len(widths) == 51 and min(widths) > 0
+    before = level_walk_before(orders, 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, ones, ones,
+                               jury._mean_split)
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+    w_a, w_b = np.full(1, 5000), np.full(1, 7000)
+    widths.clear()
+    after = jury._level_walk(orders, 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, np.stack((w_a, w_b)),
+                             counted(binomial_split(3, 5000, 7000)))
+    assert len(widths) == 51
+    before = level_walk_before(orders, 0.5, TieBreak.FOLLOW_SIGNAL_SIGN, w_a, w_b,
+                               binomial_split(3, 5000, 7000))
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
