@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .signals import Prior, _check_ability, _integer, _number
+from .signals import Prior, _check_ability, _clamp, _integer, _number
 
 #: Absolute tolerance for pointwise equality of two evaluated functions.
 EQUALITY_TOL = 1e-12
@@ -278,12 +278,14 @@ class SolvedCdf:
     endpoints.
 
     ``evaluator`` takes a read-only float array of at least one
-    dimension (1-d for a scalar or a list of points) and returns a float
-    array of the same shape.  Calling the SolvedCdf adapts any input to
-    it: a scalar or 0-d array gives a float, anything else an array.  As
-    the view is read-only, a callable inside the evaluator that writes
-    into its argument takes ``evaluate_on``'s scalar loop instead of
-    overwriting the caller's t.
+    dimension (1-d for a scalar or a list of points) with every value in
+    [-1, +1] (NaN aside), and returns a float array of the same shape.
+    Calling the SolvedCdf adapts any input to it: t is clamped to
+    [-1, +1] in a new array, so every solved H reads its endpoint values
+    H(-1) and H(+1) beyond that range, and a scalar or 0-d array gives a
+    float, anything else an array.  As the array is read-only, a
+    callable inside the evaluator that writes into its argument takes
+    ``evaluate_on``'s scalar loop.
     """
 
     evaluator: Callable
@@ -293,9 +295,9 @@ class SolvedCdf:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        view = np.atleast_1d(t).view()
-        view.flags.writeable = False
-        out = self.evaluator(view)
+        clamped = _clamp(np.atleast_1d(t))
+        clamped.flags.writeable = False
+        out = self.evaluator(clamped)
         return float(out[0]) if t.ndim == 0 else out
 
     @staticmethod

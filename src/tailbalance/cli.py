@@ -83,32 +83,30 @@ def _emit(subcommand: str, output_format: str, params: dict, columns, rows,
         click.echo(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise click.UsageError(f"cannot read --config {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"--config {path!r} is not valid JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise click.UsageError(f"--config {path!r} must hold a JSON object")
-    return obj
+def _params(config_path, **flags) -> dict:
+    """The --config object (empty without one) with every flag that is not
+    None written over its key; a subcommand reads it with
+    ``params.get(key, default)``, so a key the file sets to null reads as
+    None, not as the default."""
+    params = {}
+    if config_path is not None:
+        try:
+            with open(config_path, encoding="utf-8") as fh:
+                params = json.load(fh)
+        except OSError as exc:
+            raise click.UsageError(f"cannot read --config {config_path!r}: {exc}")
+        except json.JSONDecodeError as exc:
+            raise click.UsageError(f"--config {config_path!r} is not valid JSON: {exc}")
+        if not isinstance(params, dict):
+            raise click.UsageError(f"--config {config_path!r} must hold a JSON object")
+    params.update((key, value) for key, value in flags.items() if value is not None)
+    return params
 
 
-def _pick(flag_value, cfg: dict, key: str, default=None):
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _require(flag_value, cfg: dict, key: str):
-    """``_pick`` for a parameter with no default; its flag is ``--<key>``."""
-    value = _pick(flag_value, cfg, key)
+def _require(params: dict, key: str):
+    """``params[key]`` for a parameter with no default; its flag is
+    ``--<key>``."""
+    value = params.get(key)
     if value is None:
         raise click.UsageError(
             f"missing required parameter: --{key} (or '{key}' in --config)"
@@ -116,32 +114,23 @@ def _require(flag_value, cfg: dict, key: str):
     return value
 
 
-def _resolve_alpha(cfg, kind, theta, ability, intercept, slope):
-    """Build (AlphaSpec, Prior) from flags + config.  The prior is --theta
-    when given, else the spec's own alpha(-1)."""
-    kind = _pick(kind, cfg, "kind", "linear")
-    theta_val = _pick(theta, cfg, "theta")
+def _resolve_alpha(params: dict):
+    """Build (AlphaSpec, Prior) from the merged parameters.  The prior is
+    theta when given, else the spec's own alpha(-1)."""
+    kind = params.get("kind", "linear")
+    theta = params.get("theta")
     if kind == "linear":
-        a = _pick(ability, cfg, "a")
-        if a is None:
-            raise click.UsageError("linear alpha needs --a (or 'a' in --config)")
-        spec = LinearAbility(0.5 if theta_val is None else theta_val, a)
+        spec = LinearAbility(0.5 if theta is None else theta, _require(params, "a"))
     elif kind == "affine":
-        b = _pick(intercept, cfg, "intercept")
-        s = _pick(slope, cfg, "slope")
-        if b is None or s is None:
-            raise click.UsageError(
-                "affine alpha needs --intercept and --slope (or config keys)"
-            )
-        spec = Affine(b, s)
+        spec = Affine(_require(params, "intercept"), _require(params, "slope"))
     elif kind == "table":
-        points = cfg.get("points")
+        points = params.get("points")
         if points is None:
             raise click.UsageError("table alpha needs 'points' in --config")
         spec = Tabulated(points)
     else:
         raise click.UsageError(f"unknown alpha kind: {kind!r}")
-    return spec, Prior(spec(-1.0) if theta_val is None else theta_val)
+    return spec, Prior(spec(-1.0) if theta is None else theta)
 
 
 def _output_grid(grid: int) -> np.ndarray:
@@ -199,20 +188,19 @@ def _ordering_str(abilities) -> str:
     return ";".join(format(float(a), ".17g") for a in abilities)
 
 
-def _resolve_jury(cfg, abilities, theta, tie_break, trials=None, seed=None) -> JuryConfig:
+def _resolve_jury(config_path, abilities, **flags) -> JuryConfig:
+    """The jury of --abilities (comma-separated) and the other jury flags
+    over --config."""
+    params = _params(config_path, **flags)
     if abilities is not None:
         try:
-            abilities = [float(x) for x in abilities.split(",")]
+            params["abilities"] = [float(x) for x in abilities.split(",")]
         except ValueError:
             raise click.UsageError(
                 f"--abilities must be comma-separated numbers, got {abilities!r}"
             )
-    flags = {"abilities": abilities, "theta": theta, "tie_break": tie_break,
-             "trials": trials, "seed": seed}
-    merged = {k: v for k, v in cfg.items() if k in flags}
-    merged.update((k, v) for k, v in flags.items() if v is not None)
-    _require(abilities, cfg, "abilities")
-    return JuryConfig.from_json(merged)
+    _require(params, "abilities")
+    return JuryConfig.from_json(params)
 
 
 def _emit_verdicts(subcommand: str, output_format: str, config: JuryConfig,
@@ -295,8 +283,8 @@ def cli():
 def solve(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
           grid, allow_uniform_limit, output_format):
     """Solve for the CDF induced by an alpha spec; emit (t, H) rows."""
-    cfg = _load_config(config_path)
-    alpha, prior = _resolve_alpha(cfg, alpha_kind, theta, ability, intercept, slope)
+    alpha, prior = _resolve_alpha(_params(config_path, kind=alpha_kind, theta=theta,
+                                          a=ability, intercept=intercept, slope=slope))
     ts = _output_grid(grid)
     h = _resolve_h(h_source, alpha, prior, allow_uniform_limit)
     if not h.is_valid_cdf:
@@ -330,8 +318,8 @@ def verify(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
     """Check a candidate H against the tail-balance equation for alpha."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise click.UsageError(f"--tol must be a finite number >= 0, got {tol!r}")
-    cfg = _load_config(config_path)
-    alpha, prior = _resolve_alpha(cfg, alpha_kind, theta, ability, intercept, slope)
+    alpha, prior = _resolve_alpha(_params(config_path, kind=alpha_kind, theta=theta,
+                                          a=ability, intercept=intercept, slope=slope))
     h = _resolve_h(h_source, alpha, prior, allow_uniform_limit)
     report = residual_check(h, alpha, prior, grid)
     params = {
@@ -370,9 +358,9 @@ def verify(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
 @_format_option
 def sample(config_path, ability, state, count, seed, output_format):
     """Draw signals by inverse transform; emit (i, signal) rows."""
-    cfg = _load_config(config_path)
-    a = _require(ability, cfg, "a")
-    seed_val = _pick(seed, cfg, "seed", 0)
+    given = _params(config_path, a=ability, seed=seed)
+    a = _require(given, "a")
+    seed_val = given.get("seed", 0)
     draws = sample_signal(a, StateOfNature[state], count, seed_val)
     # both values passed sample_signal's checks
     params = {"a": float(a), "state": state, "n": int(count), "seed": int(seed_val)}
@@ -391,9 +379,9 @@ def sample(config_path, ability, state, count, seed, output_format):
 @_format_option
 def posterior(config_path, ability, theta, signal, grid, output_format):
     """Posterior probability of state A after observing a signal."""
-    cfg = _load_config(config_path)
-    a = _require(ability, cfg, "a")
-    prior = Prior(_pick(theta, cfg, "theta", 0.5))
+    given = _params(config_path, a=ability, theta=theta)
+    a = _require(given, "a")
+    prior = Prior(given.get("theta", 0.5))
     if signal is not None:
         ts = np.asarray([float(signal)])
     else:
@@ -418,8 +406,8 @@ def posterior(config_path, ability, theta, signal, grid, output_format):
 def simulate(config_path, abilities, theta, tie_break, trials, seed,
              conditional, output_format):
     """Monte Carlo estimate of the majority verdict's accuracy."""
-    cfg = _load_config(config_path)
-    config = _resolve_jury(cfg, abilities, theta, tie_break, trials, seed)
+    config = _resolve_jury(config_path, abilities, theta=theta, tie_break=tie_break,
+                           trials=trials, seed=seed)
     stats = monte_carlo_verdict(config, conditional=conditional)
     _emit_verdicts("simulate", output_format, config,
                    [(config.abilities, stats.p_correct, stats.method.value, stats.stderr)],
@@ -431,8 +419,7 @@ def simulate(config_path, abilities, theta, tie_break, trials, seed,
 @_format_option
 def exact(config_path, abilities, theta, tie_break, output_format):
     """Exact majority-verdict accuracy by history enumeration."""
-    cfg = _load_config(config_path)
-    config = _resolve_jury(cfg, abilities, theta, tie_break)
+    config = _resolve_jury(config_path, abilities, theta=theta, tie_break=tie_break)
     stats = exact_verdict_probability(config)
     _emit_verdicts("exact", output_format, config,
                    [(config.abilities, stats.p_correct, stats.method.value, stats.stderr)])
@@ -443,8 +430,7 @@ def exact(config_path, abilities, theta, tie_break, output_format):
 @_format_option
 def order_scan_command(config_path, abilities, theta, tie_break, output_format):
     """Exact accuracy of every voting order, best first."""
-    cfg = _load_config(config_path)
-    config = _resolve_jury(cfg, abilities, theta, tie_break)
+    config = _resolve_jury(config_path, abilities, theta=theta, tie_break=tie_break)
     rows = order_scan(config.abilities, config.prior, config.tie_break)
     _emit_verdicts("order-scan", output_format, config,
                    [(row.ordering, row.p_correct, "exact", 0.0) for row in rows])
@@ -459,8 +445,8 @@ def order_scan_command(config_path, abilities, theta, tie_break, output_format):
 @_format_option
 def condorcet(config_path, p_value, n_max, output_format):
     """Majority accuracy of the binary baseline for odd jury sizes."""
-    cfg = _load_config(config_path)
-    largest = CondorcetModel(_require(p_value, cfg, "p"), _pick(n_max, cfg, "n_max", 101))
+    given = _params(config_path, p=p_value, n_max=n_max)
+    largest = CondorcetModel(_require(given, "p"), given.get("n_max", 101))
     curve = condorcet_curve(largest.p, largest.n)
     rows = [[int(n), float(v)] for n, v in curve]
     _emit("condorcet", output_format, {"p": largest.p, "n_max": largest.n},

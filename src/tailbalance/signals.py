@@ -138,13 +138,23 @@ def _cdf_on_support(a, t, sign, out=None, work=(None, None)):
     return np.divide(p, 4.0, out=out)
 
 
+def _clamp(t, out=None):
+    """Float ``t`` clamped to [-1, +1] in ``out`` (None: a new array of
+    t's shape, 0-d for a 0-d t), NaN and -0.0 kept, as under ``np.clip``."""
+    if out is None:
+        out = np.empty(np.shape(t))
+    np.maximum(t, -1.0, out=out)
+    return np.minimum(out, 1.0, out=out)
+
+
 def _quantile_A_on_support(a, u):
     """State-A inverse CDF for u in [0, 1], unchecked."""
     t = (a + 4.0 * u - 2.0) / (1.0 + np.sqrt((1.0 - a) ** 2 + 4.0 * a * u))
     # the u = 0 endpoint lands on -1 exactly (numerator and denominator
     # are exact negations), but u = 1 picks up rounding inside the
     # discriminant; pin it so both support endpoints are hit exactly
-    return np.clip(np.where(u == 1.0, 1.0, t), -1.0, 1.0)
+    t = np.where(u == 1.0, 1.0, t)
+    return _clamp(t, t)
 
 
 def cdf_given_A(ability: float, t):
@@ -154,14 +164,14 @@ def cdf_given_A(ability: float, t):
     support it continues as the constant 0 or 1.
     """
     a = _check_ability(ability)
-    out = _cdf_on_support(a, np.clip(np.asarray(t, dtype=float), -1.0, 1.0), 1.0)
+    out = _cdf_on_support(a, _clamp(np.asarray(t, dtype=float)), 1.0)
     return out if out.ndim else float(out)
 
 
 def cdf_given_B(ability: float, t):
     """CDF of the signal under state B: the mirror image of state A."""
     a = _check_ability(ability)
-    out = _cdf_on_support(a, np.clip(np.asarray(t, dtype=float), -1.0, 1.0), -1.0)
+    out = _cdf_on_support(a, _clamp(np.asarray(t, dtype=float)), -1.0)
     return out if out.ndim else float(out)
 
 

@@ -22,8 +22,10 @@ and every tail-balance solver run the one residual pass, ``_residual``,
 on those values, and every solver returns through ``_finish``, so a
 solver's ``max_residual`` and ``is_valid_cdf`` equal, bit for bit, what
 a fresh check of its evaluator reports; only ``residual_check`` builds
-a ``ResidualReport``.  Each evaluator is a bare array-in/array-out core;
-``SolvedCdf`` adapts scalars, lists and 0-d arrays to it.  On the
+a ``ResidualReport``.  Each evaluator is a bare array-in/array-out core
+that receives t clamped to [-1, +1]; ``SolvedCdf`` clamps it and adapts
+scalars, lists and 0-d arrays to it, so every solved H reads its
+endpoint values H(-1) and H(+1) beyond that range.  On the
 default 1001-point grid a call costs about 40-90 us in process (2-CPU
 x86, numpy 2.4), mostly fixed numpy dispatch.
 
@@ -81,7 +83,7 @@ from .errors import (
     InvalidBoundary,
     SingularCoefficients,
 )
-from .signals import Prior, _cdf_on_support, _check_ability, _check_prior, _number
+from .signals import Prior, _cdf_on_support, _check_ability, _check_prior, _clamp, _number
 
 _BALANCED_PRIOR = Prior(0.5)
 
@@ -124,24 +126,18 @@ def _nbytes(scratch) -> int:
     return sum(block.nbytes for block in scratch)
 
 
-def _uniform_solution(provenance: Provenance, alpha: AlphaSpec, prior: Prior,
-                      grid_size: int) -> SolvedCdf:
+def _uniform_solution(alpha: AlphaSpec, prior: Prior, grid_size: int) -> SolvedCdf:
+    """``solve_odds``'s uniform-CDF limit, (t + 1)/2."""
     def core(t, out=None):
-        out = _clamp(t, out)
-        out += 1.0
+        out = np.add(t, 1.0, out=out)
         out /= 2.0
         return out
 
     grid = check_grid(grid_size)
     a_vals = evaluate_on(alpha, grid)
     scratch = _scratch(grid_size)
-    return _checked(core, provenance, core(grid, scratch[0][0]), a_vals, prior, scratch)
-
-
-def _clamp(t, out=None):
-    """``t`` clamped to [-1, +1] in ``out`` (None: a new array), NaN kept."""
-    out = np.maximum(t, -1.0, out=out)
-    return np.minimum(out, 1.0, out=out)
+    return _checked(core, Provenance.ODDS_FORMULA, core(grid, scratch[0][0]), a_vals, prior,
+                    scratch)
 
 
 def _finish(evaluator, provenance: Provenance, h_on_grid: np.ndarray,
@@ -314,7 +310,7 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
     if np.fmin.reduce(size) <= EQUALITY_TOL * (theta * theta):
         if allow_uniform_limit and np.abs(np.subtract(a_pos, theta, out=rows[2]),
                                           out=rows[2]).max() <= EQUALITY_TOL:
-            return _uniform_solution(Provenance.ODDS_FORMULA, alpha, prior, n)
+            return _uniform_solution(alpha, prior, n)
         where = float(grid[int(size.argmin())])
         raise DegenerateAlpha(
             f"odds-equation denominator vanishes near t={where!r}; "
@@ -349,19 +345,16 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
     H(t) = (1 + t) * (a*t - a + 2) * (a/4) / D(t)
 
     with D(t) = a + (lambda - 1) * (a**2 / 4) * (1 - t**2), evaluated as
-    the state-A signal CDF (0 and 1 off [-1, +1]) times a / D(t).  D is
-    positive for every a in (0, 1] and lambda > 0 (its minimum over t is
-    a * (1 - a/4) when lambda < 1), so the only degeneracy is a = 0,
-    where a / D is 0/0; the limit there is the uniform CDF, returned
-    only on explicit request.
+    the state-A signal CDF times a / D(t).  D is positive for every a in
+    (0, 1] and lambda > 0 (its minimum over t is a * (1 - a/4) when
+    lambda < 1), so the only degeneracy is a = 0, where a / D is 0/0;
+    the limit there is the uniform CDF, the signal CDF at a = 0 with the
+    factor skipped, returned only on explicit request.
     """
     _check_prior(prior)
     a = _check_ability(a)
     n = _check_grid_size(grid_size)
-    alpha = LinearAbility(prior.theta, a)
-    if a == 0.0:
-        if allow_uniform_limit:
-            return _uniform_solution(Provenance.CLOSED_FORM_LINEAR, alpha, prior, n)
+    if a == 0.0 and not allow_uniform_limit:
         raise DegenerateAbility(
             "the linear-odds closed form is 0/0 at ability 0; "
             "pass allow_uniform_limit=True for the uniform-CDF limit"
@@ -372,7 +365,9 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
         # t in [-1, +1], left unwritten; the CDF in out, with spare for its
         # middle step and then the factor
         _cdf_on_support(a, t, 1.0, out, (out, spare))
-        if lam != 1.0:  # at lambda = 1, D is exactly a and the factor exactly 1
+        # at lambda = 1, D is exactly a and the factor exactly 1; at a = 0
+        # the CDF is already (t + 1)/2, the limit of the 0/0 factor
+        if lam != 1.0 and a != 0.0:
             # a / (a + (lam - 1) * (a*a/4) * (1 - t*t)), built in spare
             factor = np.multiply(t, t, out=spare)
             np.subtract(1.0, factor, out=factor)
@@ -382,14 +377,12 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
         return out
 
     def core(t):
-        t = _clamp(t)
         return h(t, np.empty_like(t), np.empty_like(t))
 
     grid = check_grid(n)
-    a_vals = evaluate_on(alpha, grid)
+    a_vals = evaluate_on(LinearAbility(prior.theta, a), grid)
     scratch = _scratch(n)
     rows = scratch[0]
-    # the clamp is the identity on the grid
     return _checked(core, Provenance.CLOSED_FORM_LINEAR, h(grid, rows[0], rows[1]), a_vals,
                     prior, scratch)
 
@@ -606,6 +599,6 @@ def odds_limit_small_lambda(a: float, t):
     a = _check_ability(a)
     if a == 0.0:
         raise DomainError(f"ability must lie in (0, 1], got {a!r}")
-    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+    t = _clamp(np.asarray(t, dtype=float))
     out = (1.0 + t) * (a * t - a + 2.0) / (4.0 - a + a * t * t)
     return out if out.ndim else float(out)

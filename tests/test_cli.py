@@ -348,7 +348,8 @@ class TestMissingParameters:
          "Error: missing required parameter: --abilities (or 'abilities' in --config)"),
         (["order-scan"],
          "Error: missing required parameter: --abilities (or 'abilities' in --config)"),
-        (["solve", "--theta", "0.3"], "Error: linear alpha needs --a (or 'a' in --config)"),
+        (["solve", "--theta", "0.3"],
+         "Error: missing required parameter: --a (or 'a' in --config)"),
         # an empty field is not skipped: it would silently shrink the jury
         (["exact", "--abilities", "0.5,,0.6,0.7"],
          "Error: --abilities must be comma-separated numbers, got '0.5,,0.6,0.7'"),
@@ -361,6 +362,31 @@ class TestMissingParameters:
         assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.splitlines()[-1] == line
+
+    @pytest.mark.parametrize("args,config,line", [
+        (["solve", "--alpha", "affine", "--intercept", "0.6"], None,
+         "Error: missing required parameter: --slope (or 'slope' in --config)"),
+        (["solve", "--alpha", "affine", "--slope", "0.2"], None,
+         "Error: missing required parameter: --intercept (or 'intercept' in --config)"),
+        (["verify"], {"kind": "table"}, "Error: table alpha needs 'points' in --config"),
+        (["solve"], {"kind": "bogus"}, "Error: unknown alpha kind: 'bogus'"),
+        # a key the file sets to null is missing, as is an absent one
+        (["solve"], {"a": None}, "Error: missing required parameter: --a (or 'a' in --config)"),
+    ])
+    def test_alpha_refusals_exit_one_with_one_error_line(self, args, config, line,
+                                                         tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            args = [*args, "--config", str(path)]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [l for l in captured.err.splitlines() if l.lower().startswith("error")]
+        assert errors == [line]
         assert captured.err.splitlines()[-1] == line
 
 

@@ -160,7 +160,7 @@ def test_solve_odds_is_its_formula_in_both_den_branches(theta, a, t):
         return
     assert not degenerate or flat
     h = uniform_formula if degenerate else (lambda x: odds_formula(theta, a, x))
-    assert equal(solved(t), h(t))
+    assert equal(solved(t), h(clamp_formula(t)))  # the evaluator reads t clamped
     residual = residual_formula(h(grid), h(-grid), a_pos, prior.odds_lambda)
     assert equal(solved.max_residual, residual[int(residual.argmax())])
     report = residual_check(solved, LinearAbility(theta, a), prior, n)

@@ -525,6 +525,28 @@ class TestOutsideTheSupport:
         np.testing.assert_array_equal(h(self.OUTSIDE), self.EXPECTED)
         assert h(-2.0) == 0.0
 
+    SOLVED = {
+        "closed_form_linear": lambda: closed_form_linear(0.5),
+        "closed_form_linear_odds": lambda: closed_form_linear_odds(0.5, Prior(0.3)),
+        "solve_balanced": lambda: solve_balanced(LinearAbility(0.5, 0.5)),
+        "solve_odds": lambda: solve_odds(LinearAbility(0.3, 0.5), Prior(0.3)),
+        "alt_decomposition_solver": lambda: alt_decomposition_solver(0.5),
+        # H(-t) = gamma(t) + 0.4*H(t) for the uniform H(t) = (t + 1)/2,
+        # with a gamma that keeps its line off [-1, +1]
+        "solve_affine_pair": lambda: solve_affine_pair(CoefficientPair(
+            gamma=lambda t: (1.0 - t) / 2.0 - 0.4 * (1.0 + t) / 2.0,
+            delta=lambda t: np.full(np.shape(t), 0.4))),
+    }
+
+    @pytest.mark.parametrize("solver", SOLVED)
+    def test_every_solver_reads_its_endpoint_values_beyond_them(self, solver):
+        h = self.SOLVED[solver]()
+        low, high = h(-1.0), h(1.0)
+        expected = np.array([low, low, low, high, high, high])
+        assert h(self.OUTSIDE).tobytes() == expected.tobytes()
+        assert h(-2.0) == low and h(2.0) == high
+        assert math.isnan(h(np.nan))
+
     @pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("theta", [1e-6, 0.5, 0.9])
     def test_closed_forms_clamp_as_np_clip_does(self, a, theta):
