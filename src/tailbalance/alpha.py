@@ -4,8 +4,11 @@ An "alpha spec" is a strictly increasing function ``alpha(t)`` on
 [-1, +1] prescribing the right-tail posterior weight a solved CDF must
 reproduce.  Three concrete shapes are supported: the linear
 ability-indexed family, a free affine function, and a tabulated
-piecewise-linear function.  All three serialize to and from a small
-JSON object so the CLI and config files can carry them.
+piecewise-linear function.  All three serialize to a small JSON
+object (``to_json``), and one reader, ``_alpha_and_prior``, builds a
+spec and its prior back from such an object for both the library
+(``alpha_from_json``) and the CLI, so an object from an output header
+is a valid --config.
 """
 
 from __future__ import annotations
@@ -164,33 +167,45 @@ class Tabulated(AlphaSpec):
         return {"kind": "table", "points": [[t, v] for t, v in self.points]}
 
 
+def _missing_field(obj: dict, name: str):
+    """``obj[name]``, refusing an absent or null field."""
+    value = obj.get(name)
+    if value is None:
+        raise DomainError(f"alpha spec is missing the {name!r} field")
+    return value
+
+
+def _alpha_and_prior(obj: dict, require: Callable) -> tuple[AlphaSpec, Prior]:
+    """The one reading of an alpha spec's JSON object: the spec and its prior.
+
+    ``kind`` defaults to linear and a linear ``theta`` to 1/2; a null
+    field counts as missing; ``require(obj, name)`` returns a field that
+    has no default or refuses it (``_missing_field`` for the library, the
+    CLI's missing-parameter line for the CLI).  The prior is ``theta``
+    when given, else alpha(-1).  A declared ``theta`` off alpha(-1) is
+    left to the solvers, which refuse it as ``InvalidBoundary``.
+    """
+    kind = obj.get("kind")
+    theta = obj.get("theta")
+    if kind is None or kind == "linear":
+        spec = LinearAbility(0.5 if theta is None else theta, require(obj, "a"))
+    elif kind == "affine":
+        spec = Affine(require(obj, "intercept"), require(obj, "slope"))
+    elif kind == "table":
+        spec = Tabulated(require(obj, "points"))
+    else:
+        raise DomainError(f"unknown alpha kind: {kind!r}")
+    return spec, Prior(spec(-1.0) if theta is None else theta)
+
+
 def alpha_from_json(obj: dict | str) -> AlphaSpec:
-    """Build an AlphaSpec from its JSON object (or a JSON string)."""
+    """Build an AlphaSpec from its JSON object (or a JSON string), by
+    ``_alpha_and_prior``'s rules; a non-number ``theta`` is refused."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise DomainError(f"alpha spec must be a JSON object, got {type(obj).__name__}")
-
-    def required(name: str):
-        if name not in obj:
-            raise DomainError(f"alpha spec is missing the {name!r} field")
-        return obj[name]
-
-    kind = obj.get("kind")
-    if kind == "linear":
-        return LinearAbility(theta=required("theta"), a=required("a"))
-    if kind == "affine":
-        spec = Affine(intercept=required("intercept"), slope=required("slope"))
-        declared = obj.get("theta")
-        if declared is not None and abs(spec.intercept - spec.slope - _number(declared, "theta")) > BOUNDARY_TOL:
-            raise DomainError(
-                f"declared theta {declared!r} disagrees with alpha(-1) = "
-                f"{spec.intercept - spec.slope!r}"
-            )
-        return spec
-    if kind == "table":
-        return Tabulated(points=required("points"))
-    raise DomainError(f"unknown alpha kind {kind!r}")
+    return _alpha_and_prior(obj, _missing_field)[0]
 
 
 def _check_grid_size(grid_size: int) -> int:

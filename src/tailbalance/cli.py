@@ -27,11 +27,10 @@ import scipy.stats  # noqa: F401
 from . import __version__
 from .alpha import (
     RESIDUAL_TOL,
-    Affine,
     AlphaSpec,
     LinearAbility,
     SolvedCdf,
-    Tabulated,
+    _alpha_and_prior,
     check_grid,
 )
 from .errors import DomainError, SolverError
@@ -43,7 +42,7 @@ from .jury import (
     monte_carlo_verdict,
     order_scan,
 )
-from .signals import Prior, StateOfNature, posterior_from_signal, sample_signal
+from .signals import Prior, StateOfNature, _check_seed, posterior_from_signal, sample_signal
 from .solvers import (
     DEFAULT_GRID,
     alt_decomposition_solver,
@@ -83,11 +82,13 @@ def _emit(subcommand: str, output_format: str, params: dict, columns, rows,
         click.echo(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _params(config_path, **flags) -> dict:
+def _params(config_path, *file_keys, **flags) -> dict:
     """The --config object (empty without one) with every flag that is not
     None written over its key; a subcommand reads it with
     ``params.get(key, default)``, so a key the file sets to null reads as
-    None, not as the default."""
+    None, not as the default.  The object may set only the flags' keys
+    and ``file_keys`` (keys the file sets and the subcommand reads
+    itself); any other key is refused."""
     params = {}
     if config_path is not None:
         try:
@@ -95,42 +96,31 @@ def _params(config_path, **flags) -> dict:
                 params = json.load(fh)
         except OSError as exc:
             raise click.UsageError(f"cannot read --config {config_path!r}: {exc}")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
             raise click.UsageError(f"--config {config_path!r} is not valid JSON: {exc}")
         if not isinstance(params, dict):
             raise click.UsageError(f"--config {config_path!r} must hold a JSON object")
+        known = {*file_keys, *flags}
+        unknown = sorted(set(params) - known)
+        if unknown:
+            raise click.UsageError(
+                f"--config {config_path!r} sets keys this subcommand does not read: "
+                f"{', '.join(map(repr, unknown))} (it reads {', '.join(sorted(known))})"
+            )
     params.update((key, value) for key, value in flags.items() if value is not None)
     return params
 
 
 def _require(params: dict, key: str):
-    """``params[key]`` for a parameter with no default; its flag is
-    ``--<key>``."""
+    """``params[key]`` for a parameter with no default, refusing a missing
+    or null one; its flag is ``--<key>``, except for a table alpha's
+    ``points``, which only --config sets."""
     value = params.get(key)
     if value is None:
-        raise click.UsageError(
-            f"missing required parameter: --{key} (or '{key}' in --config)"
-        )
+        where = (f"'{key}' in --config" if key == "points"
+                 else f"--{key} (or '{key}' in --config)")
+        raise click.UsageError(f"missing required parameter: {where}")
     return value
-
-
-def _resolve_alpha(params: dict):
-    """Build (AlphaSpec, Prior) from the merged parameters.  The prior is
-    theta when given, else the spec's own alpha(-1)."""
-    kind = params.get("kind", "linear")
-    theta = params.get("theta")
-    if kind == "linear":
-        spec = LinearAbility(0.5 if theta is None else theta, _require(params, "a"))
-    elif kind == "affine":
-        spec = Affine(_require(params, "intercept"), _require(params, "slope"))
-    elif kind == "table":
-        points = params.get("points")
-        if points is None:
-            raise click.UsageError("table alpha needs 'points' in --config")
-        spec = Tabulated(points)
-    else:
-        raise click.UsageError(f"unknown alpha kind: {kind!r}")
-    return spec, Prior(spec(-1.0) if theta is None else theta)
 
 
 def _output_grid(grid: int) -> np.ndarray:
@@ -145,7 +135,7 @@ def _read_h_table(path: str) -> SolvedCdf:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"cannot read --h table {path!r}: {exc}")
     points = []
     header = False  # at most one non-numeric line, before the first row
@@ -191,7 +181,7 @@ def _ordering_str(abilities) -> str:
 def _resolve_jury(config_path, abilities, **flags) -> JuryConfig:
     """The jury of --abilities (comma-separated) and the other jury flags
     over --config."""
-    params = _params(config_path, **flags)
+    params = _params(config_path, "abilities", **flags)
     if abilities is not None:
         try:
             params["abilities"] = [float(x) for x in abilities.split(",")]
@@ -283,8 +273,10 @@ def cli():
 def solve(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
           grid, allow_uniform_limit, output_format):
     """Solve for the CDF induced by an alpha spec; emit (t, H) rows."""
-    alpha, prior = _resolve_alpha(_params(config_path, kind=alpha_kind, theta=theta,
-                                          a=ability, intercept=intercept, slope=slope))
+    alpha, prior = _alpha_and_prior(
+        _params(config_path, "points", kind=alpha_kind, theta=theta, a=ability,
+                intercept=intercept, slope=slope),
+        _require)
     ts = _output_grid(grid)
     h = _resolve_h(h_source, alpha, prior, allow_uniform_limit)
     if not h.is_valid_cdf:
@@ -318,8 +310,10 @@ def verify(config_path, alpha_kind, theta, ability, intercept, slope, h_source,
     """Check a candidate H against the tail-balance equation for alpha."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise click.UsageError(f"--tol must be a finite number >= 0, got {tol!r}")
-    alpha, prior = _resolve_alpha(_params(config_path, kind=alpha_kind, theta=theta,
-                                          a=ability, intercept=intercept, slope=slope))
+    alpha, prior = _alpha_and_prior(
+        _params(config_path, "points", kind=alpha_kind, theta=theta, a=ability,
+                intercept=intercept, slope=slope),
+        _require)
     h = _resolve_h(h_source, alpha, prior, allow_uniform_limit)
     report = residual_check(h, alpha, prior, grid)
     params = {
@@ -360,10 +354,10 @@ def sample(config_path, ability, state, count, seed, output_format):
     """Draw signals by inverse transform; emit (i, signal) rows."""
     given = _params(config_path, a=ability, seed=seed)
     a = _require(given, "a")
-    seed_val = given.get("seed", 0)
+    seed_val = _check_seed(given.get("seed", 0))  # None would draw from OS entropy
     draws = sample_signal(a, StateOfNature[state], count, seed_val)
-    # both values passed sample_signal's checks
-    params = {"a": float(a), "state": state, "n": int(count), "seed": int(seed_val)}
+    # a passed sample_signal's checks
+    params = {"a": float(a), "state": state, "n": int(count), "seed": seed_val}
     rows = [[i, float(s)] for i, s in enumerate(draws)]
     _emit("sample", output_format, params, ["i", "signal"], rows)
 

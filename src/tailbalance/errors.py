@@ -7,7 +7,9 @@ Two families matter to callers:
   exit code 1.
 * ``SolverError`` covers mathematically degenerate problems that were
   well-formed as input but admit no (unique) solution.  The CLI maps
-  these to exit code 2.
+  these to exit code 2.  An alpha spec whose declared ``theta`` is off
+  its alpha(-1) is one: it parses, and the solver refuses it
+  (``InvalidBoundary``).
 """
 
 
@@ -53,10 +55,6 @@ class SingularCoefficients(SolverError):
 
 class InvalidBoundary(SolverError):
     """alpha(-1) disagrees with the prior it is supposed to encode."""
-
-
-class ZeroAbility(SolverError):
-    """A signal threshold is undefined for a juror with zero ability."""
 
 
 class Indeterminate(SolverError):

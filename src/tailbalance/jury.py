@@ -24,7 +24,7 @@ from itertools import permutations
 import numpy as np
 
 from .alpha import EQUALITY_TOL
-from .errors import DomainError, EvenJury, SizeLimit, ZeroAbility
+from .errors import DomainError, EvenJury, SizeLimit
 from .signals import (
     Prior,
     _cdf_on_support,
@@ -215,25 +215,6 @@ def _juror_step(a, q, tie_break: TieBreak, out=None):
         vote = np.where(q == 0.5, _TIE_VOTE_A[tie_break], q > 0.5)
         np.copyto(p, vote, where=blind)
     return s, p[0], p[1]
-
-
-def vote_threshold(a: float, posterior_a_before_signal: float) -> float:
-    """Signal cutoff above which a juror votes A.
-
-    Solves q*(1 + a*s) = (1 - q)*(1 - a*s) for s and clamps to the
-    support: s* = (1 - 2q)/a.  Zero ability admits no informative
-    threshold and raises ZeroAbility so the caller can fall back to the
-    tie rule.
-    """
-    a = _check_ability(a)
-    q = _number(posterior_a_before_signal, "posterior_a_before_signal")
-    if not 0.0 < q < 1.0:
-        raise DomainError(
-            f"posterior_a_before_signal must lie strictly in (0, 1), got {q!r}"
-        )
-    if a == 0.0:
-        raise ZeroAbility("a zero-ability juror has no signal threshold")
-    return float(_cutoff(a, q))
 
 
 def _require_odd(config: JuryConfig) -> int:

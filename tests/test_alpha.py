@@ -5,6 +5,7 @@ from tailbalance import (
     Affine,
     CoefficientPair,
     DomainError,
+    InvalidBoundary,
     LinearAbility,
     Prior,
     Provenance,
@@ -12,7 +13,9 @@ from tailbalance import (
     Tabulated,
     alpha_from_json,
     cdf_axioms_hold,
+    solve_odds,
 )
+from tailbalance.alpha import _alpha_and_prior, _missing_field
 
 GRID = np.linspace(-1.0, 1.0, 201)
 
@@ -107,26 +110,46 @@ class TestAlphaFromJson:
         assert isinstance(spec, LinearAbility)
         assert spec.a == 0.4
 
+    def test_kind_defaults_to_linear_and_theta_to_one_half(self):
+        for obj in ({"a": 0.4}, {"kind": None, "a": 0.4, "theta": None}):
+            assert alpha_from_json(obj) == LinearAbility(0.5, 0.4)
+
     def test_rejects_unknown_kind(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^unknown alpha kind: 'quadratic'$"):
             alpha_from_json({"kind": "quadratic"})
 
     @pytest.mark.parametrize("obj,name", [
-        ({"kind": "linear", "a": 0.5}, "theta"),
         ({"kind": "linear", "theta": 0.5}, "a"),
         ({"kind": "affine", "slope": 0.15}, "intercept"),
         ({"kind": "affine", "intercept": 0.65}, "slope"),
         ({"kind": "table"}, "points"),
+        # a null field is missing, as is an absent one
+        ({"a": None}, "a"),
+        ({"kind": "table", "points": None}, "points"),
     ])
     def test_names_a_missing_field(self, obj, name):
         with pytest.raises(DomainError, match=f"missing the '{name}' field"):
             alpha_from_json(obj)
 
-    def test_rejects_inconsistent_declared_theta(self):
-        with pytest.raises(DomainError):
-            alpha_from_json({"kind": "affine", "intercept": 0.65,
-                             "slope": 0.15, "theta": 0.9})
-        with pytest.raises(DomainError, match="theta must be a number, got 'x'"):
+    @pytest.mark.parametrize("obj", [
+        {"kind": "linear", "a": 0.4},
+        {"kind": "affine", "intercept": 0.65, "slope": 0.15},
+        {"kind": "table", "points": [[-1.0, 0.3], [1.0, 0.8]]},
+    ])
+    def test_prior_is_theta_else_alpha_at_minus_one(self, obj):
+        spec, prior = _alpha_and_prior(obj, _missing_field)
+        assert prior.theta == spec(-1.0)
+        _, declared = _alpha_and_prior({**obj, "theta": 0.25}, _missing_field)
+        assert declared.theta == 0.25
+
+    def test_declared_theta_off_alpha_at_minus_one_is_refused_by_the_solver(self):
+        obj = {"kind": "affine", "intercept": 0.65, "slope": 0.15, "theta": 0.9}
+        spec, prior = _alpha_and_prior(obj, _missing_field)
+        with pytest.raises(InvalidBoundary, match="disagrees with the prior theta = 0.9"):
+            solve_odds(spec, prior)
+
+    def test_rejects_non_number_theta(self):
+        with pytest.raises(DomainError, match="^theta must be a number, got 'x'$"):
             alpha_from_json({"kind": "affine", "intercept": 0.65,
                              "slope": 0.15, "theta": "x"})
 

@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailbalance import Affine, LinearAbility, Tabulated
 from tailbalance.alpha import check_grid
@@ -369,8 +373,9 @@ class TestMissingParameters:
          "Error: missing required parameter: --slope (or 'slope' in --config)"),
         (["solve", "--alpha", "affine", "--slope", "0.2"], None,
          "Error: missing required parameter: --intercept (or 'intercept' in --config)"),
-        (["verify"], {"kind": "table"}, "Error: table alpha needs 'points' in --config"),
-        (["solve"], {"kind": "bogus"}, "Error: unknown alpha kind: 'bogus'"),
+        (["verify"], {"kind": "table"},
+         "Error: missing required parameter: 'points' in --config"),
+        (["solve"], {"kind": "bogus"}, "error: unknown alpha kind: 'bogus'"),
         # a key the file sets to null is missing, as is an absent one
         (["solve"], {"a": None}, "Error: missing required parameter: --a (or 'a' in --config)"),
     ])
@@ -400,6 +405,8 @@ class TestWrongTypedConfig:
         ("simulate", {"abilities": [0.5, 0.6, 0.7], "trials": "many"},
          "error: trials must be an integer, got 'many'"),
         ("sample", {"a": 0.5, "seed": "x"}, "error: seed must be an integer, got 'x'"),
+        # refused before any draw, not read as "draw from OS entropy"
+        ("sample", {"a": 0.5, "seed": None}, "error: seed must be an integer, got None"),
         ("condorcet", {"p": "x"}, "error: p must be a number, got 'x'"),
         ("condorcet", {"n_max": "x", "p": 0.6}, "error: n must be an integer, got 'x'"),
         ("condorcet", {"n_max": 5.9, "p": 0.6}, "error: n must be an integer, got 5.9"),
@@ -427,6 +434,104 @@ class TestWrongTypedConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [line]
+
+
+class TestUnknownConfigKeys:
+    """--config may set only the keys its subcommand reads; any other key
+    is refused with one error line that names it."""
+
+    @pytest.mark.parametrize("command,config,unknown,reads", [
+        ("solve", {"a": 0.6, "grid": 5, "thetaa": 0.9}, "'grid', 'thetaa'",
+         "a, intercept, kind, points, slope, theta"),
+        ("verify", {"a": 0.6, "tol": 1.0}, "'tol'",
+         "a, intercept, kind, points, slope, theta"),
+        ("sample", {"a": 0.5, "n": 2}, "'n'", "a, seed"),
+        ("posterior", {"a": 0.5, "s": 0.2}, "'s'", "a, theta"),
+        ("simulate", {"abilities": [0.5], "conditional": True}, "'conditional'",
+         "abilities, seed, theta, tie_break, trials"),
+        ("exact", {"abilities": [0.5, 0.6, 0.7], "trials": 10}, "'trials'",
+         "abilities, theta, tie_break"),
+        ("order-scan", {"abilities": [0.5], "seed": 1}, "'seed'",
+         "abilities, theta, tie_break"),
+        ("condorcet", {"p": 0.6, "n": 5}, "'n'", "n_max, p"),
+    ])
+    def test_exits_one_naming_the_key(self, command, config, unknown, reads, tmp_path,
+                                      capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = (f"Error: --config {str(path)!r} sets keys this subcommand does not "
+                f"read: {unknown} (it reads {reads})")
+        assert [l for l in captured.err.splitlines() if l.startswith("Error")] == [line]
+        assert captured.err.splitlines()[-1] == line
+
+    @pytest.mark.parametrize("command,config", [
+        ("solve", {"kind": "linear", "a": 0.6, "theta": 0.4}),
+        ("verify", {"kind": "affine", "intercept": 0.6, "slope": 0.2, "theta": 0.4}),
+        ("solve", {"kind": "table", "points": [[-1.0, 0.3], [1.0, 0.8]]}),
+        ("sample", {"a": 0.5, "seed": 3}),
+        ("posterior", {"a": 0.5, "theta": 0.3}),
+        ("simulate", {"abilities": [0.5], "theta": 0.4, "tie_break": "vote_a",
+                      "trials": 10, "seed": 1}),
+        ("exact", {"abilities": [0.5], "theta": 0.4, "tie_break": "vote_b"}),
+        ("order-scan", {"abilities": [0.5, 0.6, 0.7], "theta": 0.4,
+                        "tie_break": "vote_b"}),
+        ("condorcet", {"p": 0.6, "n_max": 5}),
+    ])
+    def test_every_key_the_subcommand_reads_is_accepted(self, command, config, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        run_cli(command, "--config", str(path), check=0)
+
+
+class TestUndecodableFiles:
+    """A --config or --h file that is not UTF-8 text, or JSON nested past
+    the parser's depth, is refused with one error line."""
+
+    @pytest.mark.parametrize("args,content,line", [
+        (["sample", "--config"], b'\xff{"a": 0.5}',
+         "is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
+        (["sample", "--config"], b"[" * 100_000 + b"]" * 100_000,
+         "is not valid JSON: maximum recursion depth exceeded"),
+        (["verify", "--a", "0.5", "--h"], b"t,H\n\xff\n",
+         "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+    ], ids=["config-utf8", "config-depth", "h-table-utf8"])
+    def test_exits_one_with_one_error_line(self, args, content, line, tmp_path, capsys):
+        path = tmp_path / "file"
+        path.write_bytes(content)
+        with pytest.raises(SystemExit) as exc:
+            main([*args, str(path)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [l for l in captured.err.splitlines() if l.startswith("Error")]
+        assert len(errors) == 1 and line in errors[0]
+        assert captured.err.splitlines()[-1] == errors[0]
+
+
+class TestHeaderAlphaAsConfig:
+    """solve's header carries its alpha spec's JSON object, and that object
+    as a --config regenerates the same output byte for byte."""
+
+    @pytest.mark.parametrize("args", [
+        ["--a", "0.6", "--theta", "0.3"],
+        ["--alpha", "affine", "--intercept", "0.6", "--slope", "0.2"],
+        ["--config", "table.json"],
+    ], ids=["linear", "affine", "table"])
+    def test_round_trip(self, args, tmp_path):
+        (tmp_path / "table.json").write_text(
+            json.dumps({"kind": "table", "points": TABLE_POINTS}))
+        args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+        first = run_cli("solve", *args, "--grid", "11", check=0).stdout
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(header_spec(first)[1]["params"]["alpha"]))
+        assert run_cli("solve", "--config", str(path), "--grid", "11",
+                       check=0).stdout == first
 
 
 class TestOversizedTrials:
@@ -602,6 +707,169 @@ class TestImpliedPrior:
         assert result.stdout == ""
         assert result.stderr == (
             "alpha(-1) = 0.39999999999999997 disagrees with the prior theta = 0.41\n")
+
+
+# The CLI contract test draws every size below these caps, so that one
+# call takes milliseconds and the test a few seconds.  A valid size above
+# them is answered, but can take seconds to minutes or more memory than a
+# test should ask for; budgeting every size by bytes is a separate ROADMAP
+# item.
+MAX_GRID = 401  # solve, verify and posterior --grid
+MAX_DRAWS = 200  # sample --n
+MAX_TRIALS = 2_000  # simulate --trials and "trials"
+MAX_JURY = 7  # abilities per jury (order-scan permutes them all)
+MAX_N = 201  # condorcet --n-max and "n_max"
+
+# JSON values outside the easy ranges, for any --config key
+ODD_VALUES = st.sampled_from([
+    None, True, False, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+    2.2250738585072014e-308, 1e308, -1e308, 2**64, -1, 0, 1, 2, "x", "0.5", "",
+    [], [0.5], {"a": 0.5},
+])
+# the flag spellings of the same, for any flag that takes a value
+ODD_TOKENS = ["nan", "inf", "-inf", "5e-324", "1e308", "-1", "0", "1", "x", "", "1.5"]
+
+NUMBER = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.5, 1.5]), ODD_VALUES)
+FLOAT_TOKEN = st.one_of(st.floats(-0.1, 1.1).map(repr), st.sampled_from(ODD_TOKENS))
+
+
+def count_value(cap):
+    return st.one_of(st.integers(-2, cap), ODD_VALUES)
+
+
+def count_token(cap):
+    return st.one_of(st.integers(-2, cap).map(str), st.sampled_from(ODD_TOKENS))
+
+
+def choice_token(*choices):
+    return st.sampled_from([*choices, "bogus"])
+
+
+KNOTS = st.lists(st.lists(st.one_of(st.floats(-1.0, 1.0), ODD_VALUES), min_size=2,
+                          max_size=2), max_size=4)
+TABLE = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4, unique=True).map(
+    lambda vs: [[-1.0 + 2.0 * i / (len(vs) - 1), v] for i, v in enumerate(sorted(vs))])
+ABILITIES = st.one_of(st.lists(st.one_of(st.floats(0.0, 1.0), ODD_VALUES),
+                               max_size=MAX_JURY), ODD_VALUES)
+ABILITIES_TOKEN = st.one_of(
+    st.lists(st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(ODD_TOKENS)),
+             min_size=1, max_size=MAX_JURY).map(",".join),
+    st.sampled_from([",0.5,", "0.5,,0.6", "x"]))
+TIE_BREAK = ["follow_signal", "vote_a", "vote_b"]
+
+ALPHA_FLAGS = {"--alpha": choice_token("linear", "affine", "table"),
+               "--theta": FLOAT_TOKEN, "--a": FLOAT_TOKEN,
+               "--intercept": FLOAT_TOKEN, "--slope": FLOAT_TOKEN,
+               "--h": choice_token("odds", "balanced", "closed-form", "decomposition"),
+               "--grid": count_token(MAX_GRID)}
+ALPHA_KEYS = {"kind": st.one_of(choice_token("linear", "affine", "table"), ODD_VALUES),
+              "theta": NUMBER, "a": NUMBER, "intercept": NUMBER, "slope": NUMBER,
+              "points": st.one_of(TABLE, KNOTS, ODD_VALUES)}
+JURY_FLAGS = {"--abilities": ABILITIES_TOKEN, "--theta": FLOAT_TOKEN,
+              "--tie-break": choice_token(*TIE_BREAK)}
+JURY_KEYS = {"abilities": ABILITIES, "theta": NUMBER,
+             "tie_break": st.one_of(choice_token(*TIE_BREAK), ODD_VALUES)}
+SEED_VALUE = st.one_of(st.integers(-1, 2**64), ODD_VALUES)
+
+#: subcommand -> (flags with a value, switches, --config keys), each flag
+#: and key with the strategy of its value
+GRAMMAR = {
+    "solve": (ALPHA_FLAGS, ["--allow-uniform-limit"], ALPHA_KEYS),
+    "verify": ({**ALPHA_FLAGS, "--tol": FLOAT_TOKEN}, ["--allow-uniform-limit"],
+               ALPHA_KEYS),
+    "sample": ({"--a": FLOAT_TOKEN, "--state": choice_token("A", "B"),
+                "--n": count_token(MAX_DRAWS), "--seed": count_token(2**64)},
+               [], {"a": NUMBER, "seed": SEED_VALUE}),
+    "posterior": ({"--a": FLOAT_TOKEN, "--theta": FLOAT_TOKEN, "--s": FLOAT_TOKEN,
+                   "--grid": count_token(MAX_GRID)}, [], {"a": NUMBER, "theta": NUMBER}),
+    "simulate": ({**JURY_FLAGS, "--trials": count_token(MAX_TRIALS),
+                  "--seed": count_token(2**64)}, ["--conditional"],
+                 {**JURY_KEYS, "trials": count_value(MAX_TRIALS), "seed": SEED_VALUE}),
+    "exact": (JURY_FLAGS, [], JURY_KEYS),
+    "order-scan": (JURY_FLAGS, [], JURY_KEYS),
+    "condorcet": ({"--p": FLOAT_TOKEN, "--n-max": count_token(MAX_N)}, [],
+                  {"p": st.one_of(st.floats(0.5, 1.0), ODD_VALUES),
+                   "n_max": count_value(MAX_N)}),
+}
+#: keys no subcommand reads from --config
+UNKNOWN_KEYS = ["thetaa", "grid", "n", "h", "s", "format", "conditional"]
+
+
+@st.composite
+def cli_calls(draw):
+    """(subcommand, flag arguments, --config object or None)."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    flags, switches, keys = GRAMMAR[command]
+    args = []
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        args += [flag, draw(flags[flag])]
+    args += [switch for switch in switches if draw(st.booleans())]
+    args += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    config = None
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from(sorted(keys)), unique=True))
+        config = {name: draw(keys[name]) for name in names}
+        for name in draw(st.lists(st.sampled_from(UNKNOWN_KEYS), max_size=2, unique=True)):
+            config[name] = draw(ODD_VALUES)
+    return command, args, config
+
+
+def no_constant(name):
+    raise AssertionError(f"non-finite {name} in the output")
+
+
+def assert_finite_output(stdout: str, output_format: str) -> None:
+    """Every number the call printed, header included, is finite."""
+    if output_format == "json":
+        doc = json.loads(stdout, parse_constant=no_constant)
+        columns, rows = doc["columns"], doc["rows"]
+    else:
+        header, columns_line, *rows = stdout.splitlines()
+        json.loads(header.split(" ", 3)[3], parse_constant=no_constant)
+        columns = columns_line.split(",")
+        rows = [row.split(",") for row in rows if not row.startswith("#")]
+    for row in rows:
+        assert len(row) == len(columns)
+        for column, cell in zip(columns, row):
+            if column != "method":
+                assert all(math.isfinite(float(x)) for x in str(cell).split(";")), row
+
+
+class TestContract:
+    """Every call the CLI accepts is answered (exit 0, every number
+    finite) or refused (exit 1 or 2, one error line), never a traceback:
+    all 8 subcommands, through flags and --config, over null, boolean,
+    NaN, subnormal, huge, string, list and object values and unknown
+    keys, with the sizes capped as stated above."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(call=cli_calls())
+    @example(call=("sample", ["--format", "csv"], {"a": 0.5, "seed": None}))
+    @example(call=("solve", ["--format", "csv"], {"a": 0.6, "grid": 5, "thetaa": 0.9}))
+    def test_answered_or_refused(self, call):
+        command, args, config = call
+        with tempfile.TemporaryDirectory() as tmp:
+            if config is not None:
+                path = os.path.join(tmp, "config.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(config, fh)
+                args = [*args, "--config", path]
+            result = run_cli(command, *args)
+        lines = result.stderr.splitlines()
+        assert "Traceback" not in result.stderr
+        unknown = config is not None and not set(config) <= set(GRAMMAR[command][2])
+        if result.returncode == 0:
+            assert not unknown, "an unknown --config key was ignored"
+            assert result.stderr == ""
+            assert_finite_output(result.stdout, args[args.index("--format") + 1])
+        elif result.returncode == 1:
+            assert result.stdout == ""
+            errors = [line for line in lines if line.lower().startswith("error")]
+            assert len(errors) == 1 and lines[-1] == errors[0], result.stderr
+        else:
+            assert result.returncode == 2, result
+            assert not unknown, "an unknown --config key was ignored"
+            assert len(lines) == 1, result.stderr
 
 
 class TestEntryPoint:

@@ -23,7 +23,6 @@ from tailbalance import (
     SizeLimit,
     StateOfNature,
     TieBreak,
-    ZeroAbility,
     cdf_given_A,
     cdf_given_B,
     condorcet_curve,
@@ -34,7 +33,6 @@ from tailbalance import (
     order_scan,
     posterior_from_signal,
     posterior_tail,
-    vote_threshold,
 )
 from tailbalance import jury
 from tailbalance.jury import (
@@ -128,41 +126,39 @@ class TestJuryConfig:
             JuryConfig.from_json(fields)
 
 
-class TestVoteThreshold:
+class TestCutoff:
+    """The juror's signal cutoff s* = clip((1 - 2q)/a, -1, 1)."""
+
     def test_symmetric_prior_cuts_at_zero(self):
         for a in (0.1, 0.5, 1.0):
-            assert vote_threshold(a, 0.5) == 0.0
+            assert _cutoff(a, 0.5) == 0.0
 
     def test_worked_value(self):
-        assert vote_threshold(0.8, 0.6) == pytest.approx(-0.25, abs=1e-15)
+        assert _cutoff(0.8, 0.6) == pytest.approx(-0.25, abs=1e-15)
 
     def test_clamps_to_support(self):
-        assert vote_threshold(0.5, 0.9) == -1.0
-        assert vote_threshold(0.5, 0.1) == 1.0
+        assert _cutoff(0.5, 0.9) == -1.0
+        assert _cutoff(0.5, 0.1) == 1.0
+        # a certain posterior decides the vote whatever the signal
+        assert _cutoff(0.5, 1.0) == -1.0
+        assert _cutoff(0.5, 0.0) == 1.0
 
-    def test_zero_ability_raises(self):
-        with pytest.raises(ZeroAbility):
-            vote_threshold(0.0, 0.6)
-
-    def test_rejects_degenerate_posterior(self):
-        with pytest.raises(DomainError):
-            vote_threshold(0.5, 0.0)
-        with pytest.raises(DomainError):
-            vote_threshold(0.5, 1.0)
-        with pytest.raises(DomainError):
-            vote_threshold(-0.1, 0.5)
-
-    @pytest.mark.parametrize("q", [None, "x", [0.3, 0.4], True])
-    def test_non_number_posterior_is_a_domain_error(self, q):
-        with pytest.raises(DomainError,
-                           match="posterior_a_before_signal must be a number"):
-            vote_threshold(0.5, q)
+    @pytest.mark.parametrize("tie_break,at_half", [
+        (TieBreak.FOLLOW_SIGNAL_SIGN, 0.5), (TieBreak.VOTE_A, 1.0), (TieBreak.VOTE_B, 0.0),
+    ])
+    def test_zero_ability_follows_the_posterior(self, tie_break, at_half):
+        # no informative cutoff: the vote follows q, and the tie rule at q = 1/2
+        q = np.array([0.6, 0.4, 0.5])
+        s, p_a, p_b = _juror_step(0.0, q, tie_break)
+        np.testing.assert_array_equal(s, 0.0)
+        np.testing.assert_array_equal(p_a, [1.0, 0.0, at_half])
+        np.testing.assert_array_equal(p_b, [1.0, 0.0, at_half])
 
     @settings(max_examples=200, deadline=None)
     @given(a=st.floats(0.0, 1.0, exclude_min=True),
            q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_interior_cutoffs_split_the_posterior_in_half(self, a, q):
-        cutoff = vote_threshold(a, q)
+        cutoff = float(_cutoff(a, q))
         assume(abs(cutoff) < 1.0)
         # 1 + a*s and 1 - a*s cancel to 2(1 - q) and 2q, so the rounding
         # grows as 1/min(q, 1 - q)
