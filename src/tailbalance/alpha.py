@@ -357,16 +357,17 @@ def cdf_axioms_hold(evaluator: Callable, grid_size: int = DEFAULT_GRID) -> bool:
 
 def cdf_values_ok(h: np.ndarray) -> bool:
     """``cdf_axioms_hold`` for values already evaluated on a grid over [-1, +1]."""
-    return _values_ok(np.asarray(h))
+    # two equal infinities side by side difference to NaN, which fails quietly
+    with np.errstate(invalid="ignore"):
+        return _values_ok(np.asarray(h))
 
 
-def _values_ok(h: np.ndarray, diff=None, finite=None) -> bool:
+def _values_ok(h: np.ndarray, diff=None) -> bool:
     """``cdf_values_ok`` of an array, writing its successive differences
-    into ``diff`` (len(h) - 1 floats) and its finiteness into ``finite``
-    (len(h) bools), each a new array when None."""
-    if not np.isfinite(h, out=finite).all():
+    into ``diff`` (len(h) - 1 floats; a new array when None).  A NaN or an
+    infinity fails without a pass of its own: at an endpoint the endpoint
+    test refuses it, and inside it makes a difference next to it NaN or
+    -inf, and so their minimum."""
+    if not (abs(h[0]) <= EQUALITY_TOL and abs(h[-1] - 1.0) <= EQUALITY_TOL):
         return False
-    if abs(h[0]) > EQUALITY_TOL or abs(h[-1] - 1.0) > EQUALITY_TOL:
-        return False
-    # a difference of finite values is never NaN, so its minimum decides
     return bool(np.minimum.reduce(np.subtract(h[1:], h[:-1], out=diff)) >= -EQUALITY_TOL)

@@ -83,12 +83,12 @@ def _emit(subcommand: str, output_format: str, params: dict, columns, rows,
 
 
 def _params(config_path, *file_keys, **flags) -> dict:
-    """The --config object (empty without one) with every flag that is not
-    None written over its key; a subcommand reads it with
-    ``params.get(key, default)``, so a key the file sets to null reads as
-    None, not as the default.  The object may set only the flags' keys
-    and ``file_keys`` (keys the file sets and the subcommand reads
-    itself); any other key is refused."""
+    """The --config object (empty without one) with its null keys dropped
+    and every flag that is not None written over its key; a subcommand
+    reads it with ``params.get(key, default)``, so a key the file sets to
+    null reads as absent, and the default applies.  The object may set
+    only the flags' keys and ``file_keys`` (keys the file sets and the
+    subcommand reads itself); any other key is refused, null or not."""
     params = {}
     if config_path is not None:
         try:
@@ -107,13 +107,14 @@ def _params(config_path, *file_keys, **flags) -> dict:
                 f"--config {config_path!r} sets keys this subcommand does not read: "
                 f"{', '.join(map(repr, unknown))} (it reads {', '.join(sorted(known))})"
             )
+        params = {key: value for key, value in params.items() if value is not None}
     params.update((key, value) for key, value in flags.items() if value is not None)
     return params
 
 
 def _require(params: dict, key: str):
     """``params[key]`` for a parameter with no default, refusing a missing
-    or null one; its flag is ``--<key>``, except for a table alpha's
+    one; its flag is ``--<key>``, except for a table alpha's
     ``points``, which only --config sets."""
     value = params.get(key)
     if value is None:

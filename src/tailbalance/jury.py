@@ -86,6 +86,8 @@ class JuryConfig:
             obj = json.loads(obj)
         if not isinstance(obj, dict):
             raise DomainError(f"jury config must be a JSON object, got {type(obj).__name__}")
+        # a null field is absent, so its default applies
+        obj = {key: value for key, value in obj.items() if value is not None}
         if "abilities" not in obj:
             raise DomainError("jury config is missing the 'abilities' field")
         if not isinstance(obj["abilities"], (list, tuple)):

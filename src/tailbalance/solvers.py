@@ -16,18 +16,20 @@ Every check grid comes from ``check_grid``, built once per size, shared
 read-only and exactly antisymmetric, so a pointwise callable's values on
 -grid are its values on the grid reversed, read as views.  Each check
 therefore evaluates every input once per grid point: alpha in
-``solve_odds`` (besides its alpha(-1) probe), gamma and delta in
-``solve_affine_pair``, H and alpha in the others.  ``residual_check``
-and every tail-balance solver run the one residual pass, ``_residual``,
-on those values, and every solver returns through ``_finish``, so a
+``solve_odds``, which reads alpha(-1) as the grid's first value, gamma
+and delta in ``solve_affine_pair``, H and alpha in the others.
+``residual_check`` and every tail-balance solver run the one residual
+pass, ``_residual``, on those values, and every solver returns through ``_finish``, so a
 solver's ``max_residual`` and ``is_valid_cdf`` equal, bit for bit, what
 a fresh check of its evaluator reports; only ``residual_check`` builds
 a ``ResidualReport``.  Each evaluator is a bare array-in/array-out core
 that receives t clamped to [-1, +1]; ``SolvedCdf`` clamps it and adapts
 scalars, lists and 0-d arrays to it, so every solved H reads its
 endpoint values H(-1) and H(+1) beyond that range.  On the
-default 1001-point grid a call costs about 40-90 us in process (2-CPU
-x86, numpy 2.4), mostly fixed numpy dispatch.
+default 1001-point grid a call that returns a result costs about 40-55
+us in process (median per solver and alpha kind in the benchmark's
+solve-sweep; 2-CPU x86, Python 3.11, numpy 2.4), mostly fixed numpy
+dispatch.
 
 Each formula writes its intermediates in the operand order of the
 formula written as one expression, so every value is that expression's
@@ -126,31 +128,29 @@ def _nbytes(scratch) -> int:
     return sum(block.nbytes for block in scratch)
 
 
-def _uniform_solution(alpha: AlphaSpec, prior: Prior, grid_size: int) -> SolvedCdf:
-    """``solve_odds``'s uniform-CDF limit, (t + 1)/2."""
+def _uniform_solution(a_vals: np.ndarray, prior: Prior, scratch) -> SolvedCdf:
+    """``solve_odds``'s uniform-CDF limit, (t + 1)/2, checked against its
+    alpha values on the check grid, in its ``scratch``."""
     def core(t, out=None):
         out = np.add(t, 1.0, out=out)
         out /= 2.0
         return out
 
-    grid = check_grid(grid_size)
-    a_vals = evaluate_on(alpha, grid)
-    scratch = _scratch(grid_size)
-    return _checked(core, Provenance.ODDS_FORMULA, core(grid, scratch[0][0]), a_vals, prior,
-                    scratch)
+    h_pos = core(check_grid(len(a_vals)), scratch[0][0])
+    return _checked(core, Provenance.ODDS_FORMULA, h_pos, a_vals, prior, scratch)
 
 
 def _finish(evaluator, provenance: Provenance, h_on_grid: np.ndarray,
-            residual: np.ndarray, diff=None, finite=None) -> SolvedCdf:
+            residual: np.ndarray, diff=None) -> SolvedCdf:
     """The one way a solver returns: its evaluator with the largest
     residual (NaN if any is NaN) and the validity of its values on the
-    check grid, which are the evaluator's there bit for bit; ``diff`` and
-    ``finite`` are ``_values_ok``'s."""
+    check grid, which are the evaluator's there bit for bit; ``diff`` is
+    ``_values_ok``'s."""
     return SolvedCdf(
         evaluator=evaluator,
         provenance=provenance,
         max_residual=float(np.maximum.reduce(residual)),
-        is_valid_cdf=_values_ok(h_on_grid, diff, finite),
+        is_valid_cdf=_values_ok(h_on_grid, diff),
     )
 
 
@@ -161,7 +161,7 @@ def _checked(evaluator, provenance: Provenance, h_pos: np.ndarray, a_vals: np.nd
     for its first float row, which ``h_pos`` may be."""
     rows, flags = scratch
     residual = _residual(h_pos, a_vals, prior.odds_lambda, rows[1], rows[2], flags)
-    return _finish(evaluator, provenance, h_pos, residual, rows[2, :-1], flags[0])
+    return _finish(evaluator, provenance, h_pos, residual, rows[2, :-1])
 
 
 def solve_balanced(alpha: AlphaSpec, *, allow_uniform_limit: bool = False,
@@ -256,10 +256,12 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
     lambda**2 overflows below theta ~ 1e-154; the scaled terms do not.
     Above theta = 1/2 the two terms of the first form of den cancel to a
     few digits, so den takes the second form there; the first, at theta =
-    1/2, is the balanced formula times powers of two, bit for bit.  The
-    measured alpha(-1) in num makes H(-1) exactly 0 even where alpha(-1)
-    misses theta by a rounding, which keeps the residual at t = +1
-    exact.  The guard |den| <= EQUALITY_TOL * theta**2 is the unscaled
+    1/2, is the balanced formula times powers of two, bit for bit.
+    alpha(-1) is alpha's value at the check grid's first point, exactly
+    -1; that measured value in num makes H(-1) exactly 0 even where
+    alpha(-1) misses theta by a rounding, which keeps the residual at
+    t = +1 exact, and an alpha(-1) more than BOUNDARY_TOL off theta is
+    refused as InvalidBoundary.  The guard |den| <= EQUALITY_TOL * theta**2 is the unscaled
     test.  A constant alpha = theta makes den vanish identically (the
     zero-ability degeneracy); ``allow_uniform_limit=True`` opts into the
     uniform-CDF limit.
@@ -267,7 +269,10 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
     _check_prior(prior)
     n = _check_grid_size(grid_size)
     theta = prior.theta
-    boundary = float(np.asarray(alpha(-1.0), dtype=float))
+    grid = check_grid(n)
+    a_pos = evaluate_on(alpha, grid)
+    a_neg = a_pos[::-1]  # alpha on -grid: the grid is antisymmetric
+    boundary = float(a_pos[0])  # alpha(-1): the grid starts at exactly -1
     if abs(boundary - theta) > BOUNDARY_TOL:
         raise InvalidBoundary(
             f"alpha(-1) = {boundary!r} disagrees with the prior theta = "
@@ -297,9 +302,6 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
         den -= tails
         return den
 
-    grid = check_grid(n)
-    a_pos = evaluate_on(alpha, grid)
-    a_neg = a_pos[::-1]  # alpha on -grid: the grid is antisymmetric
     scratch = _scratch(n)
     rows = scratch[0]
     den = scaled_den(a_pos, a_neg, rows[0], rows[1])
@@ -310,7 +312,7 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
     if np.fmin.reduce(size) <= EQUALITY_TOL * (theta * theta):
         if allow_uniform_limit and np.abs(np.subtract(a_pos, theta, out=rows[2]),
                                           out=rows[2]).max() <= EQUALITY_TOL:
-            return _uniform_solution(alpha, prior, n)
+            return _uniform_solution(a_pos, prior, scratch)
         where = float(grid[int(size.argmin())])
         raise DegenerateAlpha(
             f"odds-equation denominator vanishes near t={where!r}; "

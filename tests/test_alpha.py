@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailbalance import (
     Affine,
@@ -15,7 +17,7 @@ from tailbalance import (
     cdf_axioms_hold,
     solve_odds,
 )
-from tailbalance.alpha import _alpha_and_prior, _missing_field
+from tailbalance.alpha import EQUALITY_TOL, _alpha_and_prior, _missing_field, cdf_values_ok
 
 GRID = np.linspace(-1.0, 1.0, 201)
 
@@ -238,3 +240,40 @@ def test_cdf_axioms_hold_rejects_wrong_endpoint():
 
 def test_cdf_axioms_hold_rejects_decreasing():
     assert not cdf_axioms_hold(lambda t: (1.0 - np.asarray(t)) / 2.0)
+
+
+def values_ok_before(h):
+    """The validity check as it stood with a finiteness pass of its own:
+    the reference ``cdf_values_ok`` must agree with on every input."""
+    if not np.isfinite(h).all():
+        return False
+    if abs(h[0]) > EQUALITY_TOL or abs(h[-1] - 1.0) > EQUALITY_TOL:
+        return False
+    return bool(np.minimum.reduce(np.subtract(h[1:], h[:-1])) >= -EQUALITY_TOL)
+
+
+@st.composite
+def grid_values(draw):
+    """1 to 50 values, sorted or not, endpoints pinned to 0 and 1 or not,
+    with NaN, +inf and -inf at the endpoints and inside."""
+    n = draw(st.integers(1, 50))
+    h = draw(st.lists(st.floats(-0.1, 1.1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        h.sort()
+    if draw(st.booleans()):
+        h[0], h[-1] = 0.0, 1.0
+    spots = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+    for i in draw(st.lists(spots, max_size=4)):
+        h[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return np.array(h)
+
+
+@settings(max_examples=600, deadline=None)
+@given(h=grid_values())
+@example(h=np.array([np.nan]))
+@example(h=np.array([0.0, np.inf, np.inf, 1.0]))
+@example(h=np.array([0.0, -np.inf, -np.inf, 1.0]))
+@example(h=np.array([0.0, 0.5, np.nan, 1.0]))
+@example(h=np.array([0.0, 0.5, 1.0]))
+def test_cdf_values_ok_agrees_with_the_finiteness_pass(h):
+    assert cdf_values_ok(h) == values_ok_before(h)

@@ -397,16 +397,15 @@ class TestMissingParameters:
 
 class TestWrongTypedConfig:
     @pytest.mark.parametrize("command,config,line", [
-        ("exact", {"abilities": [0.5, 0.6, 0.7], "theta": None},
-         "error: theta must be a number, got None"),
+        ("exact", {"abilities": [0.5, 0.6, 0.7], "theta": "x"},
+         "error: theta must be a number, got 'x'"),
         ("exact", {"abilities": "0.5,0.6,0.7"},
          "error: abilities must be a list of numbers, got '0.5,0.6,0.7'"),
         ("sample", {"a": "x"}, "error: ability must be a number, got 'x'"),
         ("simulate", {"abilities": [0.5, 0.6, 0.7], "trials": "many"},
          "error: trials must be an integer, got 'many'"),
         ("sample", {"a": 0.5, "seed": "x"}, "error: seed must be an integer, got 'x'"),
-        # refused before any draw, not read as "draw from OS entropy"
-        ("sample", {"a": 0.5, "seed": None}, "error: seed must be an integer, got None"),
+        ("sample", {"a": 0.5, "seed": [1]}, "error: seed must be an integer, got [1]"),
         ("condorcet", {"p": "x"}, "error: p must be a number, got 'x'"),
         ("condorcet", {"n_max": "x", "p": 0.6}, "error: n must be an integer, got 'x'"),
         ("condorcet", {"n_max": 5.9, "p": 0.6}, "error: n must be an integer, got 5.9"),
@@ -486,6 +485,36 @@ class TestUnknownConfigKeys:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         run_cli(command, "--config", str(path), check=0)
+
+
+class TestNullConfigKeys:
+    """A key the --config object sets to null reads as absent: for every
+    key each subcommand reads, the call prints the same bytes and exits
+    with the same code as with the key left out (a required key is
+    refused alike either way)."""
+
+    @pytest.mark.parametrize("command,config,args", [
+        ("solve", {"a": 0.6, "theta": 0.3}, ["--grid", "11"]),
+        ("verify", {"kind": "affine", "intercept": 0.6, "slope": 0.2}, ["--grid", "11"]),
+        ("sample", {"a": 0.5, "seed": 3}, ["--n", "5"]),
+        ("posterior", {"a": 0.5, "theta": 0.3}, ["--grid", "5"]),
+        ("simulate", {"abilities": [0.55, 0.7, 0.9], "theta": 0.4, "tie_break": "vote_a",
+                      "trials": 1000, "seed": 1}, []),
+        ("exact", {"abilities": [0.55, 0.7, 0.9], "theta": 0.4, "tie_break": "vote_a"}, []),
+        ("order-scan", {"abilities": [0.55, 0.7, 0.9], "theta": 0.4,
+                        "tie_break": "vote_b"}, []),
+        ("condorcet", {"p": 0.6, "n_max": 5}, []),
+    ])
+    def test_prints_what_the_absent_key_prints(self, command, config, args, tmp_path):
+        path = tmp_path / "config.json"
+        for key in GRAMMAR[command][2]:
+            rest = {k: v for k, v in config.items() if k != key}
+            outputs = []
+            for obj in (rest, {**rest, key: None}):
+                path.write_text(json.dumps(obj))
+                result = run_cli(command, *args, "--config", str(path))
+                outputs.append((result.returncode, result.stdout, result.stderr))
+            assert outputs[1] == outputs[0], key
 
 
 class TestUndecodableFiles:

@@ -112,7 +112,7 @@ class TestJuryConfig:
             Prior(flag)
 
     @pytest.mark.parametrize("fields", [
-        {"abilities": [0.5], "theta": None},
+        {"abilities": [0.5], "theta": "x"},
         {"abilities": [0.5], "theta": 10**400},
         {"abilities": "0.5,0.6,0.7"},
         {"abilities": 0.5},
@@ -124,6 +124,13 @@ class TestJuryConfig:
     def test_wrong_types_are_domain_errors(self, fields):
         with pytest.raises(DomainError):
             JuryConfig.from_json(fields)
+
+    def test_null_fields_read_as_absent(self):
+        nulls = {"theta": None, "tie_break": None, "trials": None, "seed": None}
+        assert JuryConfig.from_json({"abilities": [0.5], **nulls}) == make_config((0.5,))
+        missing = "^jury config is missing the 'abilities' field$"
+        with pytest.raises(DomainError, match=missing):
+            JuryConfig.from_json({"abilities": None, **nulls})
 
 
 class TestCutoff:

@@ -784,8 +784,9 @@ class CountingAlpha(AlphaSpec):
 
 
 def call_labels(calls, grid):
-    """Name each recorded call: the scalar probe at -1, +grid or -grid
-    (which, the grid being antisymmetric, no solver needs)."""
+    """Name each recorded call: a scalar probe at -1 (alpha(-1) is the
+    grid's first value), +grid or -grid (which, the grid being
+    antisymmetric, no solver needs)."""
     labels = []
     for t in calls:
         if t.ndim == 0 and t == -1.0:
@@ -811,8 +812,28 @@ class TestOneGridPass:
     def test_solve_odds_evaluates_alpha_once_on_the_grid(self, theta, solve):
         alpha = CountingAlpha(theta, 0.7)
         solved = solve(alpha)
-        assert call_labels(alpha.calls, exact_grid(101)) == ["+grid", "probe"]
+        assert call_labels(alpha.calls, exact_grid(101)) == ["+grid"]
         assert solved.max_residual <= RESIDUAL_TOL
+
+    @pytest.mark.parametrize("theta, solve", [
+        (0.3, lambda alpha: solve_odds(alpha, Prior(0.3), allow_uniform_limit=True,
+                                       grid_size=101)),
+        (0.5, lambda alpha: solve_balanced(alpha, allow_uniform_limit=True, grid_size=101)),
+    ], ids=["odds", "balanced"])
+    def test_uniform_limit_reuses_the_one_grid_pass(self, theta, solve):
+        alpha = CountingAlpha(theta, 0.0)
+        solved = solve(alpha)
+        assert call_labels(alpha.calls, exact_grid(101)) == ["+grid"]
+        grid = exact_grid(101)
+        assert same_bits(solved(grid), (grid + 1.0) / 2.0)
+        assert solved.max_residual <= RESIDUAL_TOL and solved.is_valid_cdf
+
+    def test_boundary_refusal_reads_alpha_at_minus_one_off_the_grid(self):
+        alpha = CountingAlpha(0.4, 0.7)
+        with pytest.raises(InvalidBoundary) as exc:
+            solve_odds(alpha, Prior(0.5), grid_size=101)
+        assert str(exc.value) == "alpha(-1) = 0.4 disagrees with the prior theta = 0.5"
+        assert call_labels(alpha.calls, exact_grid(101)) == ["+grid"]
 
     def test_residual_check_evaluates_h_and_alpha_once_on_the_grid(self):
         alpha, h = CountingAlpha(0.3, 0.7), CountingAlpha(0.3, 0.7)
