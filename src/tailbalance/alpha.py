@@ -356,10 +356,16 @@ def cdf_axioms_hold(evaluator: Callable, grid_size: int = DEFAULT_GRID) -> bool:
 
 
 def cdf_values_ok(h: np.ndarray) -> bool:
-    """``cdf_axioms_hold`` for values already evaluated on a grid over [-1, +1]."""
+    """``cdf_axioms_hold`` for values already evaluated on a grid over
+    [-1, +1], a 1-D array of at least two values; any other shape raises
+    DomainError."""
+    h = np.asarray(h)
+    if h.ndim != 1 or len(h) < 2:
+        raise DomainError(f"CDF values must be a 1-D array of at least two values, "
+                          f"got shape {h.shape}")
     # two equal infinities side by side difference to NaN, which fails quietly
     with np.errstate(invalid="ignore"):
-        return _values_ok(np.asarray(h))
+        return _values_ok(h)
 
 
 def _values_ok(h: np.ndarray, diff=None) -> bool:

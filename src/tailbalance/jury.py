@@ -355,13 +355,11 @@ def _simulate(config: JuryConfig, n_a: int, n_b: int,
     peak RSS).  A kept history holds at least one trial, so the frontier
     never exceeds ``n_a + n_b``.
     """
-    live = slice(0 if n_a else 1, 2 if n_b else 1)
-
     def split(w, c):
-        # an empty state is not drawn (rng.binomial(0, p) takes nothing
-        # from the stream, only time); a strided p costs binomial ~15 us
-        up = np.zeros_like(w)
-        up[live] = rng.binomial(w[live], np.ascontiguousarray(c[live, :w.shape[1]]))
+        # a state with no trials holds 0 at every history, and binomial(0, p)
+        # is 0 without a draw from the stream, so one call over both states
+        # draws what the occupied state alone would; a strided p costs ~15 us
+        up = rng.binomial(w, np.ascontiguousarray(c[:, :w.shape[1]]))
         return np.concatenate((up, w - up), axis=1)
 
     won_a, won_b = _level_walk(np.array([config.abilities]), config.prior.theta,
@@ -432,11 +430,7 @@ def monte_carlo_verdict(config: JuryConfig, *, conditional: bool = False) -> Ver
     each state.  A walk's cost follows its occupied histories, which grow
     far slower than its trials, so only a call above ``_WALK_TRIALS``
     trials is split, into even shares walked in turn with the same
-    generator; that bounds a walk's memory.  In process on a shared
-    2-CPU x86 host under load (numpy 2.4.6, median of 5 per call) the
-    ``mc-sim`` calls (seed 7) take 0.4-0.5 ms at n = 3 (850,000 trials),
-    1.0 ms at n = 7 (400,000), 3.1-5.1 ms at n = 25 (120,000) and
-    13-35 ms at n = 101 (32,768).
+    generator; that bounds a walk's memory.  README gives the timings.
     """
     _require_odd(config)
     theta = config.prior.theta

@@ -36,19 +36,20 @@ formula written as one expression, so every value is that expression's
 bit for bit, and never into a caller's array.  Every grid pass but
 ``solve_affine_pair``'s writes them into the calling thread's scratch
 (``_scratch``: three float and two bool rows per grid size, kept between
-calls within ``_SCRATCH_BYTES``).  After a thread's first call on a grid
-size, a 20001-point tail-balance solver call therefore allocates one
-grid-sized array, alpha's values (a tracemalloc peak of about 1.0 such
-arrays), and ``residual_check`` its four report arrays (4.0), while
-``solve_affine_pair``, which writes one-expression formulas, peaks at
-about 7.0.  In the benchmark's solve-sweep op mix a 20001-point call of
-``solve_odds``, ``solve_balanced`` or ``closed_form_linear_odds`` faults
-in at most 0.04 pages (``resource.getrusage``, same host), against 85
-when each call freed its arrays and glibc handed the heap top back to
-the OS.  A process that solves once, as every CLI call does, gains
-nothing from this, nor do 1001-point grids, whose freed arrays the heap
-never trimmed.  Evaluators and ``ResidualReport`` arrays are new arrays
-on every call.
+calls within ``_SCRATCH_BYTES``), where ``_kernel_solution`` runs the
+closed forms' kernels and the uniform limit's.  After a thread's first
+call on a grid size, a 20001-point tail-balance solver call therefore
+allocates one grid-sized array, alpha's values (a tracemalloc peak of
+about 1.0 such arrays), and ``residual_check`` its four report arrays
+(4.0), while ``solve_affine_pair``, which writes one-expression
+formulas, peaks at about 7.0.  In the benchmark's solve-sweep op mix a
+20001-point call of ``solve_odds``, ``solve_balanced`` or
+``closed_form_linear_odds`` faults in at most 0.04 pages
+(``resource.getrusage``, same host), against 85 when each call freed its
+arrays and glibc handed the heap top back to the OS.  A process that
+solves once, as every CLI call does, gains nothing from this, nor do
+1001-point grids, whose freed arrays the heap never trimmed.  Evaluators
+and ``ResidualReport`` arrays are new arrays on every call.
 
 Every formula is evaluated in its alpha form.  The equivalent
 odds-transform form divides by 1 - alpha(t), which is 0 at t = +1
@@ -128,18 +129,6 @@ def _nbytes(scratch) -> int:
     return sum(block.nbytes for block in scratch)
 
 
-def _uniform_solution(a_vals: np.ndarray, prior: Prior, scratch) -> SolvedCdf:
-    """``solve_odds``'s uniform-CDF limit, (t + 1)/2, checked against its
-    alpha values on the check grid, in its ``scratch``."""
-    def core(t, out=None):
-        out = np.add(t, 1.0, out=out)
-        out /= 2.0
-        return out
-
-    h_pos = core(check_grid(len(a_vals)), scratch[0][0])
-    return _checked(core, Provenance.ODDS_FORMULA, h_pos, a_vals, prior, scratch)
-
-
 def _finish(evaluator, provenance: Provenance, h_on_grid: np.ndarray,
             residual: np.ndarray, diff=None) -> SolvedCdf:
     """The one way a solver returns: its evaluator with the largest
@@ -162,6 +151,25 @@ def _checked(evaluator, provenance: Provenance, h_pos: np.ndarray, a_vals: np.nd
     rows, flags = scratch
     residual = _residual(h_pos, a_vals, prior.odds_lambda, rows[1], rows[2], flags)
     return _finish(evaluator, provenance, h_pos, residual, rows[2, :-1])
+
+
+def _kernel_solution(h, provenance: Provenance, a_vals: np.ndarray,
+                     prior: Prior) -> SolvedCdf:
+    """``_checked`` for an H given as a kernel ``h(t, out, spare)`` that
+    writes H into ``out`` and returns it: run on the check grid in scratch,
+    taken once ``a_vals`` are in hand, and on new arrays as the evaluator."""
+    scratch = _scratch(len(a_vals))
+    rows = scratch[0]
+    h_pos = h(check_grid(len(a_vals)), rows[0], rows[1])
+    return _checked(lambda t: h(t, np.empty_like(t), np.empty_like(t)), provenance, h_pos,
+                    a_vals, prior, scratch)
+
+
+def _uniform_kernel(t, out, spare):
+    """The uniform CDF (t + 1)/2, in ``out``; ``spare`` is unused."""
+    np.add(t, 1.0, out=out)
+    out /= 2.0
+    return out
 
 
 def solve_balanced(alpha: AlphaSpec, *, allow_uniform_limit: bool = False,
@@ -312,7 +320,7 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
     if np.fmin.reduce(size) <= EQUALITY_TOL * (theta * theta):
         if allow_uniform_limit and np.abs(np.subtract(a_pos, theta, out=rows[2]),
                                           out=rows[2]).max() <= EQUALITY_TOL:
-            return _uniform_solution(a_pos, prior, scratch)
+            return _kernel_solution(_uniform_kernel, Provenance.ODDS_FORMULA, a_pos, prior)
         where = float(grid[int(size.argmin())])
         raise DegenerateAlpha(
             f"odds-equation denominator vanishes near t={where!r}; "
@@ -361,8 +369,13 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
             "the linear-odds closed form is 0/0 at ability 0; "
             "pass allow_uniform_limit=True for the uniform-CDF limit"
         )
-    lam = prior.odds_lambda
+    a_vals = evaluate_on(LinearAbility(prior.theta, a), check_grid(n))
+    return _kernel_solution(_linear_odds_kernel(a, prior.odds_lambda),
+                            Provenance.CLOSED_FORM_LINEAR, a_vals, prior)
 
+
+def _linear_odds_kernel(a: float, lam: float):
+    """``closed_form_linear_odds``' kernel at ability ``a`` and odds ``lam``."""
     def h(t, out, spare):
         # t in [-1, +1], left unwritten; the CDF in out, with spare for its
         # middle step and then the factor
@@ -378,15 +391,7 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
             out *= np.divide(a, factor, out=factor)
         return out
 
-    def core(t):
-        return h(t, np.empty_like(t), np.empty_like(t))
-
-    grid = check_grid(n)
-    a_vals = evaluate_on(LinearAbility(prior.theta, a), grid)
-    scratch = _scratch(n)
-    rows = scratch[0]
-    return _checked(core, Provenance.CLOSED_FORM_LINEAR, h(grid, rows[0], rows[1]), a_vals,
-                    prior, scratch)
+    return h
 
 
 def decomposition_parts(a: float):
@@ -441,14 +446,8 @@ def alt_decomposition_solver(a: float, *,
         out /= 2.0
         return out
 
-    def core(t):
-        return h(t, np.empty_like(t), np.empty_like(t))
-
     a_vals = evaluate_on(LinearAbility(0.5, a), check_grid(n))
-    scratch = _scratch(n)
-    rows = scratch[0]
-    return _checked(core, Provenance.DECOMPOSITION, h(check_grid(n), rows[0], rows[1]),
-                    a_vals, _BALANCED_PRIOR, scratch)
+    return _kernel_solution(h, Provenance.DECOMPOSITION, a_vals, _BALANCED_PRIOR)
 
 
 @dataclass(frozen=True)

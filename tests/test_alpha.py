@@ -276,4 +276,19 @@ def grid_values(draw):
 @example(h=np.array([0.0, 0.5, np.nan, 1.0]))
 @example(h=np.array([0.0, 0.5, 1.0]))
 def test_cdf_values_ok_agrees_with_the_finiteness_pass(h):
-    assert cdf_values_ok(h) == values_ok_before(h)
+    if len(h) < 2:  # no grid over [-1, +1] has fewer than two points
+        with pytest.raises(DomainError):
+            cdf_values_ok(h)
+    else:
+        assert cdf_values_ok(h) == values_ok_before(h)
+
+
+@pytest.mark.parametrize("h, shape", [
+    (np.float64(0.5), "()"), (np.array(0.0), "()"), (np.array([]), "(0,)"), ([0.0], "(1,)"),
+    (np.array([[0.0, 1.0], [0.0, 1.0]]), "(2, 2)"), (np.zeros((0, 3)), "(0, 3)"),
+])
+def test_cdf_values_ok_refuses_anything_but_a_1d_array_of_two_values(h, shape):
+    with pytest.raises(DomainError) as exc:
+        cdf_values_ok(h)
+    assert str(exc.value) == ("CDF values must be a 1-D array of at least two values, "
+                              f"got shape {shape}")

@@ -381,6 +381,9 @@ class TestMonteCarlo:
         (tuple(round(0.01 * k, 2) for k in range(101)), 0.6,
          TieBreak.FOLLOW_SIGNAL_SIGN, False, 19, 0.7873),
         ((0.0,) + (0.3,) * 100, 0.5, TieBreak.VOTE_A, True, 20, 0.6516500000000001),
+        # one state draws none of the trials: A at theta 1e-12, B at 1 - 1e-16
+        ((0.9, 0.2, 0.55), 1e-12, TieBreak.FOLLOW_SIGNAL_SIGN, False, 21, 1.0),
+        ((0.0, 0.7, 0.4), 1.0 - 1e-16, TieBreak.VOTE_A, False, 22, 1.0),
     ]
 
     #: stderr of each PINNED row, keyed by its seed
@@ -389,7 +392,7 @@ class TestMonteCarlo:
         13: 0.0032935201532706612, 14: 0.003535533269536577, 15: 0.0,
         16: 0.002566175378151028, 17: 0.0027936391812472846,
         18: 0.0024859191794317586, 19: 0.002893602512440159,
-        20: 0.0033686648319475178,
+        20: 0.0033686648319475178, 21: 0.0, 22: 0.0,
     }
 
     @pytest.mark.parametrize("abilities,theta,tie_break,conditional,seed,expected",
@@ -401,6 +404,18 @@ class TestMonteCarlo:
         stats = monte_carlo_verdict(config, conditional=conditional)
         assert stats.p_correct == expected
         assert stats.stderr == self.PINNED_STDERR[seed]
+
+    @pytest.mark.parametrize("theta, seed, n_a", [(1e-12, 21, 0), (1.0 - 1e-16, 22, 20_000)])
+    def test_pinned_rows_with_an_empty_state(self, theta, seed, n_a):
+        assert np.random.default_rng(seed).binomial(20_000, theta) == n_a
+
+    def test_empty_state_over_two_walks_is_pinned(self):
+        config = make_config((0.9, 0.2, 0.55), theta=1e-12, trials=_WALK_TRIALS + 3, seed=23)
+        with mock.patch.object(jury, "_simulate", wraps=jury._simulate) as walk:
+            stats = monte_carlo_verdict(config)
+        assert [call.args[1:3] for call in walk.call_args_list] == [(0, 524289), (0, 524290)]
+        assert stats.p_correct == 1.0
+        assert stats.stderr == 0.0
 
 
 class TestOrderScan:

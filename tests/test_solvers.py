@@ -815,17 +815,22 @@ class TestOneGridPass:
         assert call_labels(alpha.calls, exact_grid(101)) == ["+grid"]
         assert solved.max_residual <= RESIDUAL_TOL
 
-    @pytest.mark.parametrize("theta, solve", [
+    @pytest.mark.parametrize("theta, solve, provenance", [
         (0.3, lambda alpha: solve_odds(alpha, Prior(0.3), allow_uniform_limit=True,
-                                       grid_size=101)),
-        (0.5, lambda alpha: solve_balanced(alpha, allow_uniform_limit=True, grid_size=101)),
+                                       grid_size=101), Provenance.ODDS_FORMULA),
+        (0.5, lambda alpha: solve_balanced(alpha, allow_uniform_limit=True, grid_size=101),
+         Provenance.BALANCED_FORMULA),
     ], ids=["odds", "balanced"])
-    def test_uniform_limit_reuses_the_one_grid_pass(self, theta, solve):
+    def test_uniform_limit_reuses_the_one_grid_pass(self, theta, solve, provenance):
         alpha = CountingAlpha(theta, 0.0)
         solved = solve(alpha)
         assert call_labels(alpha.calls, exact_grid(101)) == ["+grid"]
         grid = exact_grid(101)
         assert same_bits(solved(grid), (grid + 1.0) / 2.0)
+        # beyond [-1, +1] the evaluator reads its endpoint values, 0 and 1
+        wide = np.linspace(-1.5, 1.5, 3001)
+        assert same_bits(solved(wide), (np.clip(wide, -1.0, 1.0) + 1.0) / 2.0)
+        assert solved.provenance is provenance
         assert solved.max_residual <= RESIDUAL_TOL and solved.is_valid_cdf
 
     def test_boundary_refusal_reads_alpha_at_minus_one_off_the_grid(self):
