@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .signals import Prior, _check_ability, _clamp, _integer, _number
+from .signals import Prior, _check_ability, _clamp, _integer, _json_object, _number
 
 #: Absolute tolerance for pointwise equality of two evaluated functions.
 EQUALITY_TOL = 1e-12
@@ -201,11 +200,7 @@ def _alpha_and_prior(obj: dict, require: Callable) -> tuple[AlphaSpec, Prior]:
 def alpha_from_json(obj: dict | str) -> AlphaSpec:
     """Build an AlphaSpec from its JSON object (or a JSON string), by
     ``_alpha_and_prior``'s rules; a non-number ``theta`` is refused."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict):
-        raise DomainError(f"alpha spec must be a JSON object, got {type(obj).__name__}")
-    return _alpha_and_prior(obj, _missing_field)[0]
+    return _alpha_and_prior(_json_object(obj, "alpha spec"), _missing_field)[0]
 
 
 def _check_grid_size(grid_size: int) -> int:

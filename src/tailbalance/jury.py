@@ -15,7 +15,6 @@ plus the classical binary-juror majority baseline for comparison.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from .signals import (
     _check_prior,
     _check_seed,
     _integer,
+    _json_object,
     _number,
 )
 
@@ -82,12 +82,9 @@ class JuryConfig:
 
     @classmethod
     def from_json(cls, obj: dict | str) -> "JuryConfig":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        if not isinstance(obj, dict):
-            raise DomainError(f"jury config must be a JSON object, got {type(obj).__name__}")
         # a null field is absent, so its default applies
-        obj = {key: value for key, value in obj.items() if value is not None}
+        obj = {key: value for key, value in _json_object(obj, "jury config").items()
+               if value is not None}
         if "abilities" not in obj:
             raise DomainError("jury config is missing the 'abilities' field")
         if not isinstance(obj["abilities"], (list, tuple)):

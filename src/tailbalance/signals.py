@@ -17,6 +17,7 @@ scalars out.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,20 @@ def _integer(value, name: str) -> int:
     if number is None or (number != value and not isinstance(value, str)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return number
+
+
+def _json_object(obj, what: str) -> dict:
+    """``obj`` as a JSON object, parsing it first if it is a str; raises
+    DomainError, naming ``what``, for text that is not JSON (nesting too
+    deep to parse included) and for any value but an object."""
+    if isinstance(obj, str):
+        try:
+            obj = json.loads(obj)
+        except (ValueError, RecursionError) as exc:
+            raise DomainError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _check_seed(seed) -> int:

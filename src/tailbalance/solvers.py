@@ -35,14 +35,16 @@ Each formula writes its intermediates in the operand order of the
 formula written as one expression, so every value is that expression's
 bit for bit, and never into a caller's array.  Every grid pass but
 ``solve_affine_pair``'s writes them into the calling thread's scratch
-(``_scratch``: three float and two bool rows per grid size, kept between
-calls within ``_SCRATCH_BYTES``), where ``_kernel_solution`` runs the
-closed forms' kernels and the uniform limit's.  After a thread's first
-call on a grid size, a 20001-point tail-balance solver call therefore
-allocates one grid-sized array, alpha's values (a tracemalloc peak of
-about 1.0 such arrays), and ``residual_check`` its four report arrays
-(4.0), while ``solve_affine_pair``, which writes one-expression
-formulas, peaks at about 7.0.  In the benchmark's solve-sweep op mix a
+(``_scratch``: one block per thread, sized to the largest grid used
+within 4 MiB, ``_SCRATCH_BYTES``, of three float and two bool rows,
+kept between calls), where ``_kernel_solution`` runs the closed forms'
+kernels and the uniform limit's (``_linear_odds_kernel`` at ability 0).
+After a thread's first call on a grid at least as large, a 20001-point
+tail-balance solver call therefore allocates one grid-sized array,
+alpha's values (a tracemalloc peak of about 1.0 such arrays), and
+``residual_check`` its four report arrays (4.0), while
+``solve_affine_pair``, which writes one-expression formulas, peaks at
+about 7.0.  In the benchmark's solve-sweep op mix a
 20001-point call of ``solve_odds``, ``solve_balanced`` or
 ``closed_form_linear_odds`` faults in at most 0.04 pages
 (``resource.getrusage``, same host), against 85 when each call freed its
@@ -101,32 +103,23 @@ def _scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Scratch of the calling thread's for one n-point grid pass: a (3, n)
     float block and a (2, n) bool block, with arbitrary contents.
 
-    A thread keeps the scratch of each grid size it uses, unless it alone
-    exceeds ``_SCRATCH_BYTES``, dropping the oldest sizes while their
-    bytes together do, and hands it to its later n-point passes, so a
-    repeated call writes pages already mapped.  A pass takes it only
-    after its last call into a caller's function, so a callable that
-    itself solves never reaches scratch in use, and no array a caller
-    receives is a view of it.
+    A thread keeps one block, sized to the largest grid it has used within
+    ``_SCRATCH_BYTES``, and hands every pass of at most that many points
+    the views ``[:, :n]`` of it, so a repeated call writes pages already
+    mapped.  A larger grid that fits replaces the block; one that does
+    not fit gets new arrays and leaves the kept block as it is.  A pass
+    takes its scratch only after its last call into a caller's function,
+    so a callable that itself solves never reaches scratch in use, and no
+    array a caller receives is a view of it.
     """
-    kept = getattr(_scratch_blocks, "by_size", None)
-    if kept is None:
-        kept = _scratch_blocks.by_size = {}
-    scratch = kept.get(n)
-    if scratch is None:
-        scratch = np.empty((3, n)), np.empty((2, n), dtype=bool)
-        if _nbytes(scratch) <= _SCRATCH_BYTES:
-            kept[n] = scratch
-            total = sum(map(_nbytes, kept.values()))
-            for size in list(kept):  # the oldest first
-                if total <= _SCRATCH_BYTES:
-                    break
-                total -= _nbytes(kept.pop(size))
+    kept = getattr(_scratch_blocks, "kept", None)
+    if kept is not None and n <= kept[0].shape[1]:
+        rows, flags = kept
+        return rows[:, :n], flags[:, :n]
+    scratch = np.empty((3, n)), np.empty((2, n), dtype=bool)
+    if scratch[0].nbytes + scratch[1].nbytes <= _SCRATCH_BYTES:
+        _scratch_blocks.kept = scratch
     return scratch
-
-
-def _nbytes(scratch) -> int:
-    return sum(block.nbytes for block in scratch)
 
 
 def _finish(evaluator, provenance: Provenance, h_on_grid: np.ndarray,
@@ -156,20 +149,16 @@ def _checked(evaluator, provenance: Provenance, h_pos: np.ndarray, a_vals: np.nd
 def _kernel_solution(h, provenance: Provenance, a_vals: np.ndarray,
                      prior: Prior) -> SolvedCdf:
     """``_checked`` for an H given as a kernel ``h(t, out, spare)`` that
-    writes H into ``out`` and returns it: run on the check grid in scratch,
-    taken once ``a_vals`` are in hand, and on new arrays as the evaluator."""
+    writes H into ``out`` and returns it, as the closed forms' kernels and
+    the uniform limit's do: run on the check grid in the thread's one
+    scratch block (``_scratch``, sized to the largest grid used within
+    4 MiB), taken once ``a_vals`` are in hand, and on new arrays as the
+    evaluator."""
     scratch = _scratch(len(a_vals))
     rows = scratch[0]
     h_pos = h(check_grid(len(a_vals)), rows[0], rows[1])
     return _checked(lambda t: h(t, np.empty_like(t), np.empty_like(t)), provenance, h_pos,
                     a_vals, prior, scratch)
-
-
-def _uniform_kernel(t, out, spare):
-    """The uniform CDF (t + 1)/2, in ``out``; ``spare`` is unused."""
-    np.add(t, 1.0, out=out)
-    out /= 2.0
-    return out
 
 
 def solve_balanced(alpha: AlphaSpec, *, allow_uniform_limit: bool = False,
@@ -320,7 +309,8 @@ def solve_odds(alpha: AlphaSpec, prior: Prior, *,
     if np.fmin.reduce(size) <= EQUALITY_TOL * (theta * theta):
         if allow_uniform_limit and np.abs(np.subtract(a_pos, theta, out=rows[2]),
                                           out=rows[2]).max() <= EQUALITY_TOL:
-            return _kernel_solution(_uniform_kernel, Provenance.ODDS_FORMULA, a_pos, prior)
+            return _kernel_solution(_linear_odds_kernel(0.0, prior.odds_lambda),
+                                    Provenance.ODDS_FORMULA, a_pos, prior)
         where = float(grid[int(size.argmin())])
         raise DegenerateAlpha(
             f"odds-equation denominator vanishes near t={where!r}; "
@@ -375,7 +365,8 @@ def closed_form_linear_odds(a: float, prior: Prior, *,
 
 
 def _linear_odds_kernel(a: float, lam: float):
-    """``closed_form_linear_odds``' kernel at ability ``a`` and odds ``lam``."""
+    """``closed_form_linear_odds``' kernel at ability ``a`` and odds
+    ``lam``; at a = 0, (t + 1)/2 bit for bit, ``solve_odds``' uniform limit."""
     def h(t, out, spare):
         # t in [-1, +1], left unwritten; the CDF in out, with spare for its
         # middle step and then the factor

@@ -20,6 +20,8 @@ from tailbalance import (
 from tailbalance.alpha import EQUALITY_TOL, _alpha_and_prior, _missing_field, cdf_values_ok
 
 GRID = np.linspace(-1.0, 1.0, 201)
+#: JSON text nested too deep for the parser
+DEEP = "[" * 100000 + "]" * 100000
 
 
 class TestLinearAbility:
@@ -115,6 +117,16 @@ class TestAlphaFromJson:
     def test_kind_defaults_to_linear_and_theta_to_one_half(self):
         for obj in ({"a": 0.4}, {"kind": None, "a": 0.4, "theta": None}):
             assert alpha_from_json(obj) == LinearAbility(0.5, 0.4)
+
+    @pytest.mark.parametrize("obj,message", [
+        ("{bad", "^alpha spec is not valid JSON: "),
+        (DEEP, "^alpha spec is not valid JSON: maximum recursion depth exceeded"),
+        ("[1]", "^alpha spec must be a JSON object, got list$"),
+        ([1], "^alpha spec must be a JSON object, got list$"),
+    ], ids=["malformed", "deep", "text-list", "list"])
+    def test_rejects_anything_but_a_json_object(self, obj, message):
+        with pytest.raises(DomainError, match=message):
+            alpha_from_json(obj)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(DomainError, match="^unknown alpha kind: 'quadratic'$"):

@@ -304,23 +304,44 @@ def test_no_received_array_is_scratch(n):
     assert all(equal(x, y) for x, y in zip(again, kept))
 
 
+def kept_block():
+    """The calling thread's kept scratch block, rows and flags."""
+    return solvers._scratch_blocks.kept
+
+
 def test_scratch_is_kept_within_its_byte_cap():
-    """The scratch of a grid whose 26 bytes a point exceed
-    ``_SCRATCH_BYTES`` is not kept after its call; the largest grid that
-    fits keeps its own and drops older sizes, as their sum would not fit."""
+    """A thread keeps one scratch block, of the largest grid whose 26
+    bytes a point fit ``_SCRATCH_BYTES``: a smaller grid's pass takes
+    views of it, a larger grid that fits replaces it, and a grid over the
+    cap gets new arrays and leaves it as it was."""
     assert solvers._SCRATCH_BYTES == 4 * 2**20
     fits = solvers._SCRATCH_BYTES // 26
     fits -= 1 - fits % 2  # odd
-    closed_form_linear_odds(0.6, Prior(0.3), grid_size=LARGE)
-    kept = solvers._scratch_blocks.by_size
-    assert LARGE in kept
-    closed_form_linear_odds(0.6, Prior(0.3), grid_size=fits + 2)
-    assert fits + 2 not in kept and LARGE in kept
-    solve_odds(LinearAbility(0.3, 0.6), Prior(0.3), grid_size=fits)
-    assert list(kept) == [fits]
-    assert sum(map(solvers._nbytes, kept.values())) <= solvers._SCRATCH_BYTES
-    closed_form_linear_odds(0.6, Prior(0.3), grid_size=LARGE)
-    assert list(kept) == [LARGE]
+
+    def run():  # a fresh thread, so that no earlier test's block is kept
+        closed_form_linear_odds(0.6, Prior(0.3), grid_size=LARGE)
+        rows, flags = block = kept_block()
+        assert rows.shape == (3, LARGE) and flags.shape == (2, LARGE)
+        small = solvers._scratch(1001)
+        assert [view.shape for view in small] == [(3, 1001), (2, 1001)]
+        for view, whole in zip(small, solvers._scratch(LARGE)):
+            assert np.shares_memory(view, whole)
+        solve_odds(LinearAbility(0.3, 0.6), Prior(0.3))  # 1001 points: no new block
+        assert kept_block() is block
+        for part in block:
+            part[...] = 1
+        closed_form_linear_odds(0.6, Prior(0.3), grid_size=fits + 2)
+        assert kept_block() is block  # over the cap: not kept, nor written
+        assert (rows == 1.0).all() and flags.all()
+        solve_odds(LinearAbility(0.3, 0.6), Prior(0.3), grid_size=fits)
+        rows, flags = kept_block()
+        assert rows.shape == (3, fits) and flags.shape == (2, fits)
+        assert rows.nbytes + flags.nbytes <= solvers._SCRATCH_BYTES
+        closed_form_linear_odds(0.6, Prior(0.3), grid_size=LARGE)
+        assert kept_block()[0].shape == (3, fits)  # the largest fitting grid stays
+
+    with ThreadPoolExecutor(1) as pool:
+        pool.submit(run).result()
 
 
 def outcomes(cases):

@@ -125,6 +125,17 @@ class TestJuryConfig:
         with pytest.raises(DomainError):
             JuryConfig.from_json(fields)
 
+    @pytest.mark.parametrize("obj,message", [
+        ("{bad", "^jury config is not valid JSON: "),
+        ("[" * 100000 + "]" * 100000,
+         "^jury config is not valid JSON: maximum recursion depth exceeded"),
+        ("[0.5]", "^jury config must be a JSON object, got list$"),
+        ([0.5], "^jury config must be a JSON object, got list$"),
+    ], ids=["malformed", "deep", "text-list", "list"])
+    def test_anything_but_a_json_object_is_a_domain_error(self, obj, message):
+        with pytest.raises(DomainError, match=message):
+            JuryConfig.from_json(obj)
+
     def test_null_fields_read_as_absent(self):
         nulls = {"theta": None, "tie_break": None, "trials": None, "seed": None}
         assert JuryConfig.from_json({"abilities": [0.5], **nulls}) == make_config((0.5,))
